@@ -169,8 +169,6 @@ def _q_grid(cfg: dict[str, str]) -> list[float]:
 
 
 def cmd_rates(args: argparse.Namespace) -> int:
-    if args.format != "csv":
-        raise ConfigError("rates emits CSV only")
     cfg = parse_config(args.config)
     try:
         n_list = [int(s) for s in _get(cfg, "n_list").split(",") if s.strip()]
@@ -223,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="flat key = value config file")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default=None, help="output file (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "kv-json"), default=None)
     parser.add_argument("--paper-variant", choices=("main", "appendix"), default="main")
     return parser
 
@@ -234,8 +231,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_TOOL_ERROR if exc.code else EXIT_OK
-    if args.format is None:
-        args.format = "csv" if args.command in ("rates", "compare") else "kv-json"
     try:
         return _COMMANDS[args.command](args)
     except (ConfigError, *_CONFIG_ERRORS) as exc:

@@ -5,6 +5,14 @@ seed is the diagonal of a Toeplitz matrix T with T[j, i] =
 diagonal_bits[j - i + in_len - 1]; the hash of an input is the GF(2)
 matrix-vector product.
 
+The matrix is never built.  Output bit j is the parity of
+sum_i diagonal_bits[j - i + in_len - 1] * input[i], which is entry j of the
+sliding dot product of the diagonal with the reversed input, so one
+``np.correlate`` in float64 computes every sum in O(in_len + out_len)
+memory.  Each sum, and every partial sum in any order of addition, is an
+integer in [0, in_len]; float64 represents every integer below 2**53
+exactly, so the parities are exact for every length an array can have.
+
 Bit strings are numpy uint8 arrays (helpers accept '01' strings too).  Hex
 serialization packs bits little-endian within each byte: bit i of the
 string is bit i % 8 of byte i // 8.  Hex digits are lowercase.
@@ -16,7 +24,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import LengthMismatchError
 
@@ -73,14 +80,6 @@ class ToeplitzSeed:
             )
         object.__setattr__(self, "diagonal_bits", bits)
 
-    def matrix(self) -> np.ndarray:
-        """Dense uint8 matrix with T[j, i] = diagonal_bits[j - i + in_len - 1]."""
-        if self.out_len == 0:
-            return np.zeros((0, self.in_len), dtype=np.uint8)
-        # row j equals reversed(diagonal)[out_len-1-j : out_len-1-j+in_len]
-        rows = sliding_window_view(self.diagonal_bits[::-1], self.in_len)
-        return rows[::-1]
-
 
 def random_seed(in_len: int, out_len: int, rng: np.random.Generator) -> ToeplitzSeed:
     """Draw a fresh seed with uniformly random diagonal bits."""
@@ -89,14 +88,24 @@ def random_seed(in_len: int, out_len: int, rng: np.random.Generator) -> Toeplitz
 
 
 def toeplitz_hash(seed: ToeplitzSeed, input: BitsLike) -> np.ndarray:
-    """GF(2) product T @ input; output has out_len bits."""
+    """GF(2) product T @ input; output has out_len bits.
+
+    Computed as ``correlate(diagonal, reversed(input), "valid")``, whose
+    entry j is sum_i diagonal_bits[j + in_len - 1 - i] * input[i], the
+    integer row sum of T @ input.  The terms are 0 or 1, so every partial
+    sum is an integer in [0, in_len] and float64 holds it exactly
+    (in_len < 2**53): the result does not depend on the order in which BLAS
+    adds the terms, and its low bit is the GF(2) product.
+    """
     bits = as_bits(input)
     if bits.size != seed.in_len:
         raise LengthMismatchError(f"input has {bits.size} bits, seed expects {seed.in_len}")
     if seed.out_len == 0:
         return np.zeros(0, dtype=np.uint8)
-    acc = seed.matrix().astype(np.int64) @ bits.astype(np.int64)
-    return (acc & 1).astype(np.uint8)
+    acc = np.correlate(
+        seed.diagonal_bits.astype(np.float64), bits[::-1].astype(np.float64), "valid"
+    )
+    return (acc.astype(np.int64) & 1).astype(np.uint8)
 
 
 def verify_hash(seed: ToeplitzSeed, candidate: BitsLike, tag: BitsLike) -> bool:

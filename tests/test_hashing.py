@@ -1,5 +1,7 @@
 """Tests for Toeplitz hashing: construction, linearity, two-universality."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,31 @@ from dicka.hashing import random_seed
 
 
 def _oracle_matrix(in_len, out_len, diagonal):
-    """Dense GF(2) Toeplitz matrix built index by index from the diagonal rule."""
-    d = [int(ch) for ch in diagonal]
-    t = np.zeros((out_len, in_len), dtype=np.uint8)
-    for j in range(out_len):
-        for i in range(in_len):
-            t[j, i] = d[j - i + in_len - 1]
-    return t
+    """Dense GF(2) Toeplitz matrix built entry by entry from the diagonal rule."""
+    d = np.array([int(ch) for ch in diagonal], dtype=np.uint8)
+    j = np.arange(out_len)[:, None]
+    i = np.arange(in_len)[None, :]
+    return d[j - i + in_len - 1]
+
+
+def _oracle_shapes(rng):
+    """About 300 (in_len, out_len) pairs with in_len up to about 2000.
+
+    Covers out_len of 0, 1 and in_len, and diagonals whose length
+    in_len + out_len - 1 lies just below, at and just above a power of two.
+    """
+    shapes = []
+    for k in range(1, 12):
+        for diag_len in (2**k - 1, 2**k, 2**k + 1):
+            square = diag_len // 2 + 1  # out_len = in_len when diag_len is odd
+            shapes += [(diag_len + 1, 0), (diag_len, 1), (square, diag_len + 1 - square)]
+            in_len = int(rng.integers(square, diag_len + 1))
+            shapes.append((in_len, diag_len + 1 - in_len))
+    while len(shapes) < 300:
+        in_len = int(np.exp(rng.uniform(0, np.log(2000))))
+        out_len = int(rng.choice([0, 1, in_len, int(rng.integers(0, in_len + 1))]))
+        shapes.append((in_len, out_len))
+    return shapes
 
 
 def test_zero_diagonal_gives_zero_output():
@@ -34,7 +54,6 @@ def test_three_by_two_worked_example():
     seed = ToeplitzSeed(3, 2, "1011")
     oracle = _oracle_matrix(3, 2, "1011")
     assert oracle.tolist() == [[1, 0, 1], [1, 1, 0]]
-    assert np.array_equal(seed.matrix(), oracle)
     product = (oracle @ np.array([1, 1, 0])) % 2
     assert product.tolist() == [1, 0]
     assert toeplitz_hash(seed, "110").tolist() == [1, 0]
@@ -42,14 +61,30 @@ def test_three_by_two_worked_example():
 
 def test_matrix_matches_oracle_randomised():
     rng = np.random.Generator(np.random.PCG64(5))
-    for _ in range(50):
-        in_len = int(rng.integers(1, 40))
-        out_len = int(rng.integers(0, in_len + 1))
+    for in_len, out_len in _oracle_shapes(rng):
         seed = random_seed(in_len, out_len, rng)
-        oracle = _oracle_matrix(in_len, out_len, "".join(str(b) for b in seed.diagonal_bits))
-        assert np.array_equal(seed.matrix(), oracle)
-        u = rng.integers(0, 2, size=in_len, dtype=np.uint8)
-        assert np.array_equal(toeplitz_hash(seed, u), (oracle.astype(int) @ u) % 2)
+        oracle = _oracle_matrix(in_len, out_len, seed.diagonal_bits)
+        # inputs of nearly all ones as well, so row sums come close to in_len
+        u = (rng.random(in_len) < rng.choice([0.5, 0.98])).astype(np.uint8)
+        assert np.array_equal(toeplitz_hash(seed, u), (oracle.astype(np.int64) @ u) % 2)
+
+
+def test_large_hash_runs_in_bounded_memory():
+    # a dense int64 matrix of this shape would take 8 GB
+    rng = np.random.Generator(np.random.PCG64(41))
+    in_len, out_len = 10**5, 10**4
+    seed = random_seed(in_len, out_len, rng)
+    x = rng.integers(0, 2, size=in_len, dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        out = toeplitz_hash(seed, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    d = seed.diagonal_bits.astype(np.int64)
+    for j in rng.choice(out_len, size=64, replace=False):
+        assert out[j] == (d[j : j + in_len][::-1] @ x) % 2
 
 
 def test_linearity():
