@@ -1,8 +1,8 @@
-"""Golden transcript digests: serialized transcripts must not change byte for byte.
+"""Golden digests: serialized transcripts and CLI outputs must not change byte for byte.
 
-Each case pins the sha256 of ``Transcript.serialize()`` for one fixed
-configuration.  A change that moves a digest changes the transcripts the
-program writes and has to say why.
+Each case pins the sha256 of ``Transcript.serialize()``, or of the output of
+one CLI command, for one fixed configuration.  A change that moves a digest
+changes what the program writes and has to say why.
 """
 
 import hashlib
@@ -10,6 +10,7 @@ import hashlib
 import pytest
 
 from dicka import EpsilonBudget, ProtocolConfig, read_summary, reconcile, run_protocol
+from dicka.cli import main
 from dicka.protocol import ABORT_EC, ABORT_PE, _Streams, _measure_rounds
 
 EPS = EpsilonBudget(smooth=1e-8, pa=1e-8, ea=1e-8, ec=2e-8, ec_prime=1e-8, ec_tilde=1e-8)
@@ -84,3 +85,44 @@ def test_transcript_digest(name):
     assert summary["abort"] == abort
     assert summary["key_length"] == key_length
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+
+
+# --- CLI outputs: key length, rate sweep and game values ------------------
+
+EPS_LINES = "".join(f"eps_{name} = {value!r}\n" for name, value in vars(EPS).items())
+KEYLEN_CONFIG = "n_parties = 3\nn_rounds = 100000000\nmu = 0.02\ndelta = 0.84\nqber = 0.01\n" + EPS_LINES
+RATES_CONFIG = "n_list = 2,3,4,5,7,10\nq_min = 0\nq_max = 0.1\nq_step = 0.001\n"
+
+# name -> (command, config text, extra arguments, sha256 of the output)
+CLI_CASES = {
+    "keylen_main": (
+        "keylen", KEYLEN_CONFIG, [],
+        "f8ae19c9f895d3f1e549e9ee5d58a8adb969d48a30447a2c03f037a85871eddf",
+    ),
+    "keylen_appendix": (
+        "keylen", KEYLEN_CONFIG, ["--paper-variant", "appendix"],
+        "651441888cafa4a682cc0a60e6a3be48f777a0b7778e0e186ac8c45df3097f17",
+    ),
+    "rates": (
+        "rates", RATES_CONFIG, [],
+        "dc3be14c5fb4e1aefabcbe7a10bf08153395935c399bdd6d4e0f35d710044e8e",
+    ),
+    "game_n3": (
+        "game", "n_parties = 3\nqber = 0.013\n", [],
+        "f6b195c214c288a6c021a29fbcf4d27a31e3354de5d7a475d6dc12cf44f9c680",
+    ),
+    "game_n6": (
+        "game", "n_parties = 6\nqber = 0.013\n", [],
+        "2ac351994228c4088556a257919588c0c12e5f4c8ea7955ed116b5b4bdeebb92",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_output_digest(name, tmp_path):
+    command, text, extra, digest = CLI_CASES[name]
+    config = tmp_path / "run.cfg"
+    config.write_text(text)
+    out = tmp_path / "out.txt"
+    assert main([command, "--config", str(config), "--out", str(out), *extra]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
