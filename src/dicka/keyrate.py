@@ -254,8 +254,9 @@ def _maximize_scalar(fn, lo: float, hi: float, grid_points: int, tol: float) -> 
         v = fn(lo + i * step)
         if v > best_v:
             best_i, best_v = i, v
-    a = lo + max(best_i - 1, 0.5) * step
-    b = lo + min(best_i + 1, grid_points + 0.5) * step
+    # the bracket may reach the open ends: golden section never evaluates them
+    a = lo + (best_i - 1) * step
+    b = lo + (best_i + 1) * step
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)

@@ -97,11 +97,11 @@ RATES_CONFIG = "n_list = 2,3,4,5,7,10\nq_min = 0\nq_max = 0.1\nq_step = 0.001\n"
 CLI_CASES = {
     "keylen_main": (
         "keylen", KEYLEN_CONFIG, [],
-        "f8ae19c9f895d3f1e549e9ee5d58a8adb969d48a30447a2c03f037a85871eddf",
+        "cc9589a7d541acaa69728deaa97a162ecd3a7b0ba94cf47d35196035c02a64ca",
     ),
     "keylen_appendix": (
         "keylen", KEYLEN_CONFIG, ["--paper-variant", "appendix"],
-        "651441888cafa4a682cc0a60e6a3be48f777a0b7778e0e186ac8c45df3097f17",
+        "5cdab0f2ad3e8c65608afb375f642295920c4b4ea53922510f09c7356768a8bf",
     ),
     "rates": (
         "rates", RATES_CONFIG, [],

@@ -232,6 +232,20 @@ def test_finite_key_breakdown_identity():
     assert CLASSICAL_BOUND < bd.p_opt_chosen / 0.1 < TSIRELSON_BOUND
 
 
+def test_finite_key_optimum_reaches_the_classical_end():
+    # here the objective rises toward delta_opt = 3/4; the search must get
+    # closer to that open end than half a grid step
+    params = _params(n_rounds=10**8, mu=0.02, delta=0.84, qber=0.01)
+    bd = finite_key_length(params)
+
+    def objective(p_opt):
+        entropy = params.n_rounds * (tangent_f(params.mu * params.delta, p_opt, params.mu) - params.mu)
+        return entropy - v_tilde(p_opt, params.mu, params.eps.smooth, params.eps.ea) * math.sqrt(params.n_rounds)
+
+    assert bd.entropy_term - bd.second_order == objective(bd.p_opt_chosen)
+    assert objective(bd.p_opt_chosen) >= objective(params.mu * (CLASSICAL_BOUND + 1e-7))
+
+
 def test_finite_key_convergence_toward_asymptotic_rate():
     # mu = n^(-1/10), delta at the honest expectation; the ratio climbs
     # toward the asymptotic rate from below
