@@ -8,7 +8,6 @@ from .errors import (
     SizeOutOfRangeError,
 )
 from .game import (
-    DeterministicStrategy,
     GameRound,
     SettingsBundle,
     classical_value,
@@ -39,9 +38,7 @@ from .keyrate import (
     v_tilde,
 )
 from .protocol import (
-    KeyMaterial,
     ProtocolConfig,
-    RoundRecord,
     Transcript,
     amplify,
     estimate_parameters,
@@ -58,9 +55,7 @@ from .quantum import (
     depolarize_each,
     joint_distribution,
     make_ghz,
-    sample_outcomes,
     setting_observable,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

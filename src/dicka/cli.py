@@ -89,14 +89,16 @@ def _get_int(cfg: dict[str, str], key: str) -> int:
         raise ConfigError(f"config key {key!r} is not an integer: {raw!r}") from exc
 
 
-def _eps_budget(cfg: dict[str, str]) -> EpsilonBudget:
-    return EpsilonBudget(
-        smooth=_get_float(cfg, "eps_smooth"),
-        pa=_get_float(cfg, "eps_pa"),
-        ea=_get_float(cfg, "eps_ea"),
-        ec=_get_float(cfg, "eps_ec"),
-        ec_prime=_get_float(cfg, "eps_ec_prime"),
-        ec_tilde=_get_float(cfg, "eps_ec_tilde"),
+def _rate_fields(cfg: dict[str, str]) -> dict:
+    """The run parameters ``simulate`` and ``keylen`` share, epsilon budget included."""
+    eps = ("smooth", "pa", "ea", "ec", "ec_prime", "ec_tilde")
+    return dict(
+        n_parties=_get_int(cfg, "n_parties"),
+        n_rounds=_get_int(cfg, "n_rounds"),
+        mu=_get_float(cfg, "mu"),
+        delta=_get_float(cfg, "delta"),
+        qber=_get_float(cfg, "qber"),
+        eps=EpsilonBudget(**{name: _get_float(cfg, f"eps_{name}") for name in eps}),
     )
 
 
@@ -109,15 +111,9 @@ def _write_output(text: str, out: Optional[str]) -> None:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config)
-    seed = args.seed if args.seed is not None else _get_int(cfg, "seed")
     config = ProtocolConfig(
-        n_parties=_get_int(cfg, "n_parties"),
-        n_rounds=_get_int(cfg, "n_rounds"),
-        mu=_get_float(cfg, "mu"),
-        delta=_get_float(cfg, "delta"),
-        qber=_get_float(cfg, "qber"),
-        eps=_eps_budget(cfg),
-        rng_seed=seed,
+        **_rate_fields(cfg),
+        rng_seed=args.seed if args.seed is not None else _get_int(cfg, "seed"),
         key_len=_get_int(cfg, "key_len") if "key_len" in cfg else None,
         variant=args.paper_variant,
     )
@@ -132,15 +128,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_keylen(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config)
-    params = RateParams(
-        n_parties=_get_int(cfg, "n_parties"),
-        mu=_get_float(cfg, "mu"),
-        delta=_get_float(cfg, "delta"),
-        qber=_get_float(cfg, "qber"),
-        n_rounds=_get_int(cfg, "n_rounds"),
-        eps=_eps_budget(cfg),
-        variant=args.paper_variant,
-    )
+    params = RateParams(**_rate_fields(cfg), variant=args.paper_variant)
     bd = finite_key_length(params)
     lines = [
         f"variant = {params.variant}",

@@ -15,16 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import Iterator
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidInputError, SizeOutOfRangeError
 from .quantum import MixedState, Observable, joint_distribution, setting_observable
-
-
-def _check_bit(name: str, value: int) -> None:
-    if value not in (0, 1):
-        raise InvalidInputError(f"{name} must be 0 or 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -39,68 +35,42 @@ class GameRound:
 
     def __post_init__(self) -> None:
         for name in ("x", "y", "a", "b1"):
-            _check_bit(name, getattr(self, name))
+            if getattr(self, name) not in (0, 1):
+                raise InvalidInputError(f"{name} must be 0 or 1, got {getattr(self, name)!r}")
         if any(ch not in "01" for ch in self.b_rest):
             raise InvalidInputError(f"b_rest must be a bit string, got {self.b_rest!r}")
 
 
-@dataclass(frozen=True)
-class DeterministicStrategy:
-    """Local deterministic strategy: answer tables for Alice/Bob_1, fixed bits for the rest."""
-
-    alice_table: tuple[int, int]
-    bob1_table: tuple[int, int]
-    rest_bits: str = ""
-
-    def __post_init__(self) -> None:
-        for bit in (*self.alice_table, *self.bob1_table):
-            _check_bit("table entry", bit)
-        if any(ch not in "01" for ch in self.rest_bits):
-            raise InvalidInputError(f"rest_bits must be a bit string, got {self.rest_bits!r}")
-
-
-def parity_chsh_wins(round: GameRound) -> bool:
-    """Whether the round satisfies a XOR b1 == x * ((y + parity(b_rest)) mod 2)."""
-    parity = round.b_rest.count("1") & 1
-    return (round.a ^ round.b1) == (round.x * ((round.y + parity) % 2)) % 2
-
-
 def parity_chsh_wins_bulk(x, y, a, b1, rest_parity) -> np.ndarray:
-    """Vectorised predicate over integer arrays; same formula as parity_chsh_wins."""
+    """Whether a XOR b1 == x * ((y + rest_parity) mod 2), elementwise over integer arrays."""
     x = np.asarray(x, dtype=np.int64)
     rhs = (x * ((np.asarray(y, dtype=np.int64) + np.asarray(rest_parity, dtype=np.int64)) % 2)) % 2
     return (np.asarray(a, dtype=np.int64) ^ np.asarray(b1, dtype=np.int64)) == rhs
 
 
-def strategy_win_count(strategy: DeterministicStrategy) -> int:
-    """Number of the four (x, y) question pairs the strategy wins."""
-    parity = strategy.rest_bits.count("1") & 1
-    count = 0
-    for x in (0, 1):
-        for y in (0, 1):
-            a = strategy.alice_table[x]
-            b1 = strategy.bob1_table[y]
-            if (a ^ b1) == (x * ((y + parity) % 2)) % 2:
-                count += 1
-    return count
+def parity_chsh_wins(round: GameRound) -> bool:
+    """Whether the round satisfies a XOR b1 == x * ((y + parity(b_rest)) mod 2)."""
+    return bool(parity_chsh_wins_bulk(round.x, round.y, round.a, round.b1, round.b_rest.count("1") & 1))
 
 
 def classical_value(n_parties: int) -> Fraction:
     """Maximum winning probability over deterministic strategies, exactly.
 
-    Enumerates all 4 * 4 * 2**(N-2) strategies under uniform (x, y); the
-    result is an exact rational.
+    Enumerates all 4 * 4 * 2**(N-2) strategies (Alice's and Bob_1's answer
+    tables, fixed bits for the rest) against the four uniform (x, y)
+    questions; the result is an exact rational.
     """
     if not 2 <= n_parties <= 6:
         raise SizeOutOfRangeError(f"classical value enumeration supports 2..6 parties, got {n_parties}")
-    best = 0
-    for a0, a1, b0, b1 in product((0, 1), repeat=4):
-        for rest in product("01", repeat=n_parties - 2):
-            strat = DeterministicStrategy((a0, a1), (b0, b1), "".join(rest))
-            best = max(best, strategy_win_count(strat))
-            if best == 4:
-                return Fraction(1)
-    return Fraction(best, 4)
+    # columns: a(0), a(1), b1(0), b1(1), the other Bobs' bits, then x, y
+    plays = np.array(list(product((0, 1), repeat=n_parties + 4)), dtype=np.int64)
+    x, y = plays[:, -2], plays[:, -1]
+    a = np.where(x == 1, plays[:, 1], plays[:, 0])
+    b1 = np.where(y == 1, plays[:, 3], plays[:, 2])
+    parity = plays[:, 4:-2].sum(axis=1) & 1
+    # (x, y) vary fastest, so each strategy owns four consecutive rows
+    wins = parity_chsh_wins_bulk(x, y, a, b1, parity).reshape(-1, 4).sum(axis=1)
+    return Fraction(int(wins.max()), 4)
 
 
 @dataclass(frozen=True)
@@ -140,20 +110,27 @@ def _outcome_fields(n_parties: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return a, b1, parity
 
 
-def quantum_win_probability(state: MixedState, settings: SettingsBundle) -> float:
-    """Winning probability under uniform (x, y), evaluated by the Born rule."""
+def _questions(
+    state: MixedState, settings: SettingsBundle
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per (x, y) question: Born-rule outcome distribution, win mask and outcome parity."""
     n = settings.n_parties
     if state.n_qubits != n:
         raise DimensionMismatchError(
             f"state has {state.n_qubits} qubits but settings describe {n} parties"
         )
     a, b1, parity = _outcome_fields(n)
-    total = 0.0
     for x in (0, 1):
         for y in (0, 1):
             dist = joint_distribution(state, [settings.alice[x], settings.bob1[y], *settings.rest])
-            wins = parity_chsh_wins_bulk(x, y, a, b1, parity)
-            total += float(dist[wins].sum())
+            yield dist, parity_chsh_wins_bulk(x, y, a, b1, parity), parity
+
+
+def quantum_win_probability(state: MixedState, settings: SettingsBundle) -> float:
+    """Winning probability under uniform (x, y), evaluated by the Born rule."""
+    total = 0.0
+    for dist, wins, _ in _questions(state, settings):
+        total += float(dist[wins].sum())
     return total / 4.0
 
 
@@ -166,20 +143,11 @@ def conditioned_win_probabilities(
     are averaged over the four question pairs; the convex combination of the
     conditional values reproduces quantum_win_probability.
     """
-    n = settings.n_parties
-    if state.n_qubits != n:
-        raise DimensionMismatchError(
-            f"state has {state.n_qubits} qubits but settings describe {n} parties"
-        )
-    a, b1, parity = _outcome_fields(n)
     mass = {0: 0.0, 1: 0.0}
     win_mass = {0: 0.0, 1: 0.0}
-    for x in (0, 1):
-        for y in (0, 1):
-            dist = joint_distribution(state, [settings.alice[x], settings.bob1[y], *settings.rest])
-            wins = parity_chsh_wins_bulk(x, y, a, b1, parity)
-            for par in (0, 1):
-                sel = parity == par
-                mass[par] += float(dist[sel].sum()) / 4.0
-                win_mass[par] += float(dist[sel & wins].sum()) / 4.0
+    for dist, wins, parity in _questions(state, settings):
+        for par in (0, 1):
+            sel = parity == par
+            mass[par] += float(dist[sel].sum()) / 4.0
+            win_mass[par] += float(dist[sel & wins].sum()) / 4.0
     return {par: (mass[par], win_mass[par] / mass[par] if mass[par] > 0 else 0.0) for par in (0, 1)}

@@ -40,22 +40,15 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, LengthMismatchError
 from .game import parity_chsh_wins_bulk
 from .hashing import ToeplitzSeed, bits_to_hex, random_seed, toeplitz_hash, verify_hash
-from .keyrate import (
-    EpsilonBudget,
-    RateParams,
-    TSIRELSON_BOUND,
-    CLASSICAL_BOUND,
-    finite_key_length,
-    qber_to_pdep,
-)
-from .quantum import MixedState, NoiseModel, depolarize_each, joint_distribution, make_ghz, setting_observable
+from .keyrate import EpsilonBudget, RateParams, finite_key_length, qber_to_pdep
+from .quantum import NoiseModel, depolarize_each, joint_distribution, make_ghz, setting_observable
 
 ABORT_EC = "ec_failure"
 ABORT_PE = "parameter_estimation"
@@ -78,16 +71,7 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if self.n_parties < 3:
             raise DomainError(f"protocol needs at least 3 parties, got {self.n_parties}")
-        if self.n_rounds < 0:
-            raise DomainError(f"n_rounds must be nonnegative, got {self.n_rounds}")
-        if not 0.0 < self.mu <= 1.0:
-            raise DomainError(f"mu must lie in (0, 1], got {self.mu!r}")
-        if not CLASSICAL_BOUND < self.delta < TSIRELSON_BOUND:
-            raise DomainError(
-                f"delta must lie strictly in ({CLASSICAL_BOUND}, {TSIRELSON_BOUND}), got {self.delta!r}"
-            )
-        if not 0.0 <= self.qber < 0.5:
-            raise DomainError(f"qber must lie in [0, 1/2), got {self.qber!r}")
+        self.rate_params()  # checks n_rounds, mu, delta, qber and variant
         if not 0 <= self.rng_seed < 2**64:
             raise DomainError("rng_seed must be an unsigned 64-bit integer")
         if self.key_len is not None and self.key_len < 0:
@@ -105,28 +89,6 @@ class ProtocolConfig:
         )
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """One round: test flag, inputs, outputs, and the scored result."""
-
-    index: int
-    t: int
-    x: int
-    y1: int
-    a_out: int
-    b_outs: str
-    c: str  # "win" | "lose" | "untested"
-
-
-@dataclass
-class KeyMaterial:
-    """A party's raw measurement string and its hashed final key."""
-
-    raw_key: np.ndarray
-    final_key: np.ndarray
-
-
-_C_LABEL = {1: "win", 0: "lose", -1: "untested"}
 _C_CHAR = {1: "1", 0: "0", -1: "-"}
 
 
@@ -175,28 +137,6 @@ class Transcript:
             return None
         first = self.keys[0]
         return all(np.array_equal(first, k) for k in self.keys[1:])
-
-    def key_material(self, party: int) -> KeyMaterial:
-        """Raw and final key of one party (index 0 = Alice, k = Bob_k)."""
-        if self.raw_keys is None or self.keys is None:
-            raise InvalidInputError("keys are only available after privacy amplification")
-        return KeyMaterial(raw_key=self.raw_keys[party], final_key=self.keys[party])
-
-    def round(self, i: int) -> RoundRecord:
-        bobs = "".join(str(int(b)) for b in self.outcomes[i, 1:])
-        return RoundRecord(
-            index=i,
-            t=int(self.t[i]),
-            x=int(self.x[i]),
-            y1=int(self.y1[i]),
-            a_out=int(self.outcomes[i, 0]),
-            b_outs=bobs,
-            c=_C_LABEL[int(self.c[i])],
-        )
-
-    def rounds(self) -> Iterator[RoundRecord]:
-        for i in range(self.n_rounds):
-            yield self.round(i)
 
     def summary(self) -> dict:
         return {
@@ -265,19 +205,13 @@ class _Streams:
 
 
 @lru_cache(maxsize=16)
-def _honest_state(n_parties: int, qber: float) -> MixedState:
-    noise = NoiseModel(qber_to_pdep(qber))
-    return depolarize_each(make_ghz(n_parties), noise)
-
-
-@lru_cache(maxsize=16)
 def _round_distributions(n_parties: int, qber: float) -> dict[int, np.ndarray]:
     """Cumulative outcome distributions keyed by setting class.
 
     Class 0 is the key round (all Z); classes 1 + 2x + y are the four test
     questions with the remaining Bobs on input 1.
     """
-    state = _honest_state(n_parties, qber)
+    state = depolarize_each(make_ghz(n_parties), NoiseModel(qber_to_pdep(qber)))
     n_rest = n_parties - 2
     tables = {}
     key_settings = [
@@ -401,12 +335,7 @@ def estimate_parameters(config: ProtocolConfig, transcript: Transcript) -> Trans
     return transcript
 
 
-def amplify(
-    config: ProtocolConfig,
-    transcript: Transcript,
-    key_len: int,
-    rng: np.random.Generator,
-) -> Transcript:
+def amplify(transcript: Transcript, key_len: int, rng: np.random.Generator) -> Transcript:
     """Protocol step 5: hash every party's raw key down to ``key_len`` bits."""
     if transcript.abort is not None:
         raise InvalidInputError("cannot amplify an aborted run")
@@ -438,5 +367,5 @@ def run_protocol(config: ProtocolConfig) -> Transcript:
         key_len = config.key_len
     else:
         key_len = finite_key_length(config.rate_params()).key_length
-    amplify(config, transcript, key_len, streams.pa)
+    amplify(transcript, key_len, streams.pa)
     return transcript

@@ -1,8 +1,7 @@
 """Exact linear-algebra substrate for the protocol simulator.
 
-Builds N-qubit GHZ states, applies per-qubit depolarizing noise, evaluates
-joint measurement-outcome distributions via the Born rule, and samples
-outcomes from seeded streams.
+Builds N-qubit GHZ states, applies per-qubit depolarizing noise and
+evaluates joint measurement-outcome distributions via the Born rule.
 
 Conventions
 -----------
@@ -30,17 +29,7 @@ MAX_QUBITS = 12
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-RngLike = Union[int, np.random.Generator]
-
-
-def _as_generator(rng: RngLike) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.Generator(np.random.PCG64(rng))
-
 
 @dataclass(frozen=True)
 class PureState:
@@ -112,10 +101,6 @@ class Observable:
         _, vecs = np.linalg.eigh(self.matrix)
         # eigh sorts eigenvalues ascending, so the -1 vector comes first
         return vecs[:, ::-1]
-
-    def projectors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(P_+, P_-) eigenprojectors; exact since the matrix is an involution."""
-        return (PAULI_I + self.matrix) / 2, (PAULI_I - self.matrix) / 2
 
 
 @dataclass(frozen=True)
@@ -208,22 +193,3 @@ def joint_distribution(state: MixedState, settings: Sequence[Observable]) -> np.
     probs = np.diagonal(t.reshape(2**n, 2**n)).real.copy()
     np.clip(probs, 0.0, None, out=probs)
     return probs
-
-
-def sample_outcomes(distribution: np.ndarray, rng: RngLike) -> str:
-    """Draw one outcome string by inverse CDF on a seeded stream.
-
-    The same seed (or generator state) and distribution always yield the
-    same outcome.
-    """
-    dist = np.asarray(distribution, dtype=float)
-    if dist.ndim != 1 or len(dist) & (len(dist) - 1):
-        raise DimensionMismatchError("distribution length must be a power of two")
-    if abs(float(dist.sum()) - 1.0) > 1e-10:
-        raise DomainError(f"distribution sums to {dist.sum()!r}, expected 1")
-    gen = _as_generator(rng)
-    u = gen.random()
-    idx = int(np.searchsorted(np.cumsum(dist), u, side="right"))
-    idx = min(idx, len(dist) - 1)
-    n = len(dist).bit_length() - 1
-    return format(idx, f"0{n}b")

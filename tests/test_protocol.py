@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dicka import (
+    DomainError,
     EpsilonBudget,
     InvalidInputError,
     LengthMismatchError,
@@ -57,9 +58,27 @@ def test_honest_run_with_key_override():
     assert tr.abort is None
     assert all(len(k) == 96 for k in tr.keys)
     assert tr.keys_identical
-    material = tr.key_material(0)
-    assert len(material.raw_key) == 10**4
-    assert np.array_equal(material.final_key, tr.keys[0])
+    assert np.array_equal(tr.raw_keys[0], tr.outcomes[:, 0])
+    assert len(tr.raw_keys[0]) == 10**4
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(n_parties=2),
+        dict(n_rounds=-1),
+        dict(mu=0.0),
+        dict(delta=0.75),
+        dict(qber=0.5),
+        dict(rng_seed=2**64),
+        dict(key_len=-1),
+        dict(variant="x"),
+    ],
+    ids=lambda overrides: next(iter(overrides)),
+)
+def test_config_validation(overrides):
+    with pytest.raises(DomainError):
+        _config(**overrides)
 
 
 def test_threshold_above_honest_expectation_aborts():
@@ -168,7 +187,7 @@ def test_amplify_zero_length():
     tr = _measure_rounds(config, streams)
     reconcile(config, tr, streams.ec)
     estimate_parameters(config, tr)
-    amplify(config, tr, 0, streams.pa)
+    amplify(tr, 0, streams.pa)
     assert tr.abort is None
     assert all(len(k) == 0 for k in tr.keys)
 
@@ -191,7 +210,7 @@ def test_amplify_differing_raw_keys_disagree():
         tampered[0] ^= 1
         tr.raw_keys = [alice, tampered]
         tr.disclosures = []
-        amplify(config, tr, 32, streams.pa)
+        amplify(tr, 32, streams.pa)
         if np.array_equal(tr.keys[0], tr.keys[1]):
             same += 1
     assert same == 0
@@ -203,10 +222,10 @@ def test_amplify_rejects_bad_lengths_and_aborted_runs():
     tr = _measure_rounds(config, streams)
     reconcile(config, tr, streams.ec)
     with pytest.raises(LengthMismatchError):
-        amplify(config, tr, 101, streams.pa)
+        amplify(tr, 101, streams.pa)
     tr.abort = ABORT_PE
     with pytest.raises(InvalidInputError):
-        amplify(config, tr, 0, streams.pa)
+        amplify(tr, 0, streams.pa)
 
 
 def test_test_fraction_concentration():
@@ -243,21 +262,18 @@ def test_transcript_serialization_shape():
     assert summary["abort"] is None
     assert summary["key_length"] == 8
     assert summary["keys_identical"] is True
-    first_round = lines[0].split()
-    assert len(first_round) == 7  # i t x y1 a bobs c
-    record = tr.round(0)
-    assert record.index == 0
-    assert record.c in ("win", "lose", "untested")
+    rounds = [line.split() for line in lines[:25]]
+    assert all(len(fields) == 7 for fields in rounds)  # i t x y1 a bobs c
+    assert [fields[6] for fields in rounds] == [{1: "1", 0: "0", -1: "-"}[int(c)] for c in tr.c]
 
 
 def test_round_records_consistent():
     tr = run_protocol(_config(n_rounds=200, rng_seed=15))
-    for rec in tr.rounds():
-        if rec.t == 0:
-            assert rec.x == 0 and rec.y1 == 2 and rec.c == "untested"
-        else:
-            assert rec.y1 in (0, 1)
-            assert rec.c in ("win", "lose")
+    key, test = tr.t == 0, tr.t == 1
+    assert key.any() and test.any()
+    assert (tr.x[key] == 0).all() and (tr.y1[key] == 2).all() and (tr.c[key] == -1).all()
+    assert np.isin(tr.y1[test], (0, 1)).all()
+    assert np.isin(tr.c[test], (0, 1)).all()
 
 
 def test_correctness_over_many_runs():

@@ -17,12 +17,12 @@ from dicka import (
     depolarize_each,
     joint_distribution,
     make_ghz,
-    sample_outcomes,
     setting_observable,
 )
-from dicka.quantum import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
+from dicka.quantum import PAULI_I, PAULI_X, PAULI_Z
 
 SQRT2 = math.sqrt(2.0)
+PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 
 
 # --- independent oracle: depolarizing via the Pauli-Kraus sum -------------
@@ -178,39 +178,6 @@ def test_born_rule_normalisation_all_setting_combos():
                     ]
                     dist = joint_distribution(state, settings)
                     assert abs(float(dist.sum()) - 1.0) < 1e-10
-
-
-def test_sample_outcomes_point_mass():
-    dist = np.zeros(16)
-    dist[6] = 1.0  # 0110
-    for seed in (0, 1, 99):
-        assert sample_outcomes(dist, seed) == "0110"
-
-
-def test_sample_outcomes_deterministic():
-    dist = np.array([0.5, 0.0, 0.0, 0.5])
-    a = [sample_outcomes(dist, np.random.Generator(np.random.PCG64(7))) for _ in range(10)]
-    b = [sample_outcomes(dist, np.random.Generator(np.random.PCG64(7))) for _ in range(10)]
-    assert a == b
-    gen1 = np.random.Generator(np.random.PCG64(123))
-    gen2 = np.random.Generator(np.random.PCG64(123))
-    seq1 = [sample_outcomes(dist, gen1) for _ in range(50)]
-    seq2 = [sample_outcomes(dist, gen2) for _ in range(50)]
-    assert seq1 == seq2
-
-
-def test_sample_outcomes_binomial_statistics():
-    dist = np.array([0.5, 0.0, 0.0, 0.5])
-    gen = np.random.Generator(np.random.PCG64(2024))
-    draws = 10**5
-    count_00 = sum(1 for _ in range(draws) if sample_outcomes(dist, gen) == "00")
-    sigma = 0.5 / math.sqrt(draws)
-    assert abs(count_00 / draws - 0.5) < 5 * sigma
-
-
-def test_sample_outcomes_rejects_unnormalised():
-    with pytest.raises(DomainError):
-        sample_outcomes(np.array([0.5, 0.4]), 0)
 
 
 def test_mixed_state_validation():
