@@ -55,7 +55,6 @@ from .quantum import (
     depolarize_each,
     joint_distribution,
     make_ghz,
-    setting_observable,
 )
 
 __version__ = "0.1.0"

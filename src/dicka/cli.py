@@ -17,6 +17,7 @@ round-trip exactly.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -152,7 +153,8 @@ def _q_grid(cfg: dict[str, str]) -> list[float]:
     q_step = _get_float(cfg, "q_step")
     if q_step <= 0 or q_max < q_min or q_min < 0 or q_max >= 0.5:
         raise ConfigError("bad Q grid: need 0 <= q_min <= q_max < 0.5 and q_step > 0")
-    count = int(round((q_max - q_min) / q_step)) + 1
+    # the tolerance keeps an endpoint that lies on the grid up to rounding
+    count = math.floor((q_max - q_min) / q_step + 1e-9) + 1
     return [q_min + i * q_step for i in range(count)]
 
 

@@ -6,8 +6,9 @@ the players win iff a XOR b_1 == x * ((y + b-bar) mod 2).  With no extra
 Bobs the parity is empty (0) and the game is exactly CHSH.
 
 This module evaluates the predicate, computes the exact classical value by
-exhaustive enumeration of deterministic strategies, and computes the quantum
-winning probability of any simulated state under a given settings bundle.
+exhaustive enumeration of deterministic strategies, holds the honest
+observables of every round class (``honest_settings``), and computes the
+quantum winning probability of any simulated state under a settings bundle.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidInputError, SizeOutOfRangeError
-from .quantum import MixedState, Observable, joint_distribution, setting_observable
+from .quantum import PAULI_X, PAULI_Z, MixedState, Observable, joint_distribution, outcome_bits
 
 
 @dataclass(frozen=True)
@@ -73,41 +74,48 @@ def classical_value(n_parties: int) -> Fraction:
     return Fraction(int(wins.max()), 4)
 
 
+_Z = Observable("Z", PAULI_Z)
+_X = Observable("X", PAULI_X)
+_Z_PLUS_X = Observable("ZplusX", (PAULI_Z + PAULI_X) / np.sqrt(2.0))
+_Z_MINUS_X = Observable("ZminusX", (PAULI_Z - PAULI_X) / np.sqrt(2.0))
+
+
 @dataclass(frozen=True)
 class SettingsBundle:
-    """Observables used in test rounds: Alice per x, Bob_1 per y, fixed for the rest."""
+    """Observables per round class.
+
+    Test rounds: Alice per x, Bob_1 per y, fixed for the rest.  Key rounds:
+    one observable per party.
+    """
 
     alice: tuple[Observable, Observable]
     bob1: tuple[Observable, Observable]
     rest: tuple[Observable, ...]
+    key: tuple[Observable, ...]
 
     @property
     def n_parties(self) -> int:
         return 2 + len(self.rest)
 
+    def question(self, x: int, y: int) -> list[Observable]:
+        """Every party's observable on the test question (x, y), party 0 first."""
+        return [self.alice[x], self.bob1[y], *self.rest]
+
 
 def honest_settings(n_parties: int) -> SettingsBundle:
-    """Honest test-round observables: Z/X, (Z+-X)/sqrt2, and X for the fixed input 1."""
+    """Observables of the honest strategy for every round class.
+
+    Test rounds: Alice Z/X, Bob_1 (Z+-X)/sqrt2, the other Bobs X for their
+    fixed input 1.  Key rounds: everyone Z.
+    """
     if n_parties < 2:
         raise SizeOutOfRangeError("need at least two parties")
     return SettingsBundle(
-        alice=(setting_observable("alice", 0), setting_observable("alice", 1)),
-        bob1=(setting_observable("bob1", 0), setting_observable("bob1", 1)),
-        rest=tuple(setting_observable("bobk", 1) for _ in range(n_parties - 2)),
+        alice=(_Z, _X),
+        bob1=(_Z_PLUS_X, _Z_MINUS_X),
+        rest=(_X,) * (n_parties - 2),
+        key=(_Z,) * n_parties,
     )
-
-
-def _outcome_fields(n_parties: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per outcome-index arrays (a, b1, parity of the remaining bits)."""
-    idx = np.arange(2**n_parties)
-    a = (idx >> (n_parties - 1)) & 1
-    b1 = (idx >> (n_parties - 2)) & 1
-    rest = idx & ((1 << (n_parties - 2)) - 1)
-    parity = np.zeros_like(rest)
-    while rest.any():
-        parity ^= rest & 1
-        rest = rest >> 1
-    return a, b1, parity
 
 
 def _questions(
@@ -119,10 +127,11 @@ def _questions(
         raise DimensionMismatchError(
             f"state has {state.n_qubits} qubits but settings describe {n} parties"
         )
-    a, b1, parity = _outcome_fields(n)
+    bits = outcome_bits(np.arange(2**n), n)
+    a, b1, parity = bits[:, 0], bits[:, 1], bits[:, 2:].sum(axis=1) & 1
     for x in (0, 1):
         for y in (0, 1):
-            dist = joint_distribution(state, [settings.alice[x], settings.bob1[y], *settings.rest])
+            dist = joint_distribution(state, settings.question(x, y))
             yield dist, parity_chsh_wins_bulk(x, y, a, b1, parity), parity
 
 

@@ -38,6 +38,10 @@ _VARIANTS = ("main", "appendix")
 _LOG2_13 = math.log2(13.0)
 _LOG2_7 = math.log2(7.0)
 
+# Smallest accepted epsilon.  Below about 6e-154, (eps/4)^2 underflows to 0
+# and 8/eps^2 overflows, so the key-length terms stop being finite.
+_EPS_FLOOR = 1e-150
+
 
 @dataclass(frozen=True)
 class EpsilonBudget:
@@ -46,7 +50,7 @@ class EpsilonBudget:
     ``smooth`` is the smoothing parameter, ``pa`` the privacy-amplification
     error, ``ea`` the entropy-accumulation security parameter, ``ec`` /
     ``ec_prime`` / ``ec_tilde`` the error-correction abort, residual-error
-    and information-bound parameters.  All lie in (0, 1) and
+    and information-bound parameters.  All lie in [1e-150, 1) and
     ec = ec_tilde + ec_prime.
     """
 
@@ -60,8 +64,8 @@ class EpsilonBudget:
     def __post_init__(self) -> None:
         for name in ("smooth", "pa", "ea", "ec", "ec_prime", "ec_tilde"):
             value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise DomainError(f"eps_{name} must lie in (0, 1), got {value!r}")
+            if not _EPS_FLOOR <= value < 1.0:
+                raise DomainError(f"eps_{name} must lie in [{_EPS_FLOOR:g}, 1), got {value!r}")
         if abs(self.ec - (self.ec_prime + self.ec_tilde)) > 1e-12 * self.ec:
             raise DomainError(
                 f"eps_ec must equal eps_ec_tilde + eps_ec_prime "
@@ -156,9 +160,14 @@ def min_tradeoff_fhat(p_w: float, mu: float) -> float:
     if p_w < CLASSICAL_BOUND:
         return 0.0
     s = 4.0 * p_w - 2.0
-    arg = max(s * s - 1.0, 0.0)
-    x = min(0.5 + 0.5 * math.sqrt(arg), 1.0)
-    return (1.0 - mu / 2.0) * (1.0 - binary_entropy(x))
+    return (1.0 - mu / 2.0) * (1.0 - _clamped_entropy(s * s - 1.0))
+
+
+def _clamped_entropy(arg: float) -> float:
+    """h(1/2 + 1/2 sqrt(arg)), clamped to 1 (nothing certified) when arg <= 0."""
+    if arg <= 0.0:
+        return 1.0
+    return binary_entropy(min(0.5 + 0.5 * math.sqrt(arg), 1.0))
 
 
 def _check_popt(p_opt: float, mu: float) -> None:
@@ -234,9 +243,9 @@ def leak_ec_bounds(params: RateParams) -> tuple[float, float]:
     n = params.n_rounds
     mu = params.mu
     et = params.eps.ec_tilde
-    # log2(8 / et^2) without forming the (possibly huge) quotient
-    log_8_et2 = 3.0 - 2.0 * math.log2(et)
+    log_8_et2 = 3.0 - 2.0 * math.log2(et)  # log2(8 / et^2)
     sqrt_corr = 4.0 * math.log2(2.0 * SQRT2 + 1.0) * math.sqrt(2.0 * log_8_et2) * math.sqrt(n)
+    # 8 / et^2 stays finite because EpsilonBudget keeps et >= 1e-150
     const_corr = math.log2(8.0 / et**2 + 2.0 / (2.0 - et))
     leak_alice = n * ((1.0 - mu) * binary_entropy(params.qber) + mu) + sqrt_corr + const_corr
     leak_bob = n * mu + sqrt_corr + const_corr
@@ -364,15 +373,6 @@ def pexp_formula(n_parties: int, qber: float) -> float:
     return 0.5 + f**n_parties / (2.0 * SQRT2) + f**2 * (1.0 - f ** (n_parties - 2)) / (4.0 * SQRT2)
 
 
-def _rate_entropy_arg(a: float) -> float:
-    """h(1/2 + 1/2 sqrt(16 a^2 - 1)) with the sub-classical clamp."""
-    arg = 16.0 * a * a - 1.0
-    if arg <= 0.0:
-        return 1.0
-    x = min(0.5 + 0.5 * math.sqrt(arg), 1.0)
-    return binary_entropy(x)
-
-
 def asymptotic_rate_cka(n_parties: int, qber: float) -> float:
     """Asymptotic conference-key rate of the protocol at QBER Q.
 
@@ -387,7 +387,7 @@ def asymptotic_rate_cka(n_parties: int, qber: float) -> float:
     w = 1.0 - 2.0 * qber
     f = math.sqrt(w)
     a = f**n_parties / (2.0 * SQRT2) + w * (1.0 - f ** (n_parties - 2)) / (8.0 * SQRT2)
-    return 1.0 - _rate_entropy_arg(a) - binary_entropy(qber)
+    return 1.0 - _clamped_entropy(16.0 * a * a - 1.0) - binary_entropy(qber)
 
 
 def asymptotic_rate_diqkd(n_parties: int, qber: float) -> float:
@@ -401,9 +401,4 @@ def asymptotic_rate_diqkd(n_parties: int, qber: float) -> float:
     if not 0.0 <= qber < 0.5:
         raise DomainError(f"qber must lie in [0, 1/2), got {qber!r}")
     w = 1.0 - 2.0 * qber
-    arg = 2.0 * w * w - 1.0
-    if arg <= 0.0:
-        h_term = 1.0
-    else:
-        h_term = binary_entropy(min(0.5 + 0.5 * math.sqrt(arg), 1.0))
-    return (1.0 - h_term - binary_entropy(qber)) / (n_parties - 1)
+    return (1.0 - _clamped_entropy(2.0 * w * w - 1.0) - binary_entropy(qber)) / (n_parties - 1)

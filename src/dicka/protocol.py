@@ -45,10 +45,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, LengthMismatchError
-from .game import parity_chsh_wins_bulk
+from .game import honest_settings, parity_chsh_wins_bulk
 from .hashing import ToeplitzSeed, bits_to_hex, random_seed, toeplitz_hash, verify_hash
 from .keyrate import EpsilonBudget, RateParams, finite_key_length, qber_to_pdep
-from .quantum import NoiseModel, depolarize_each, joint_distribution, make_ghz, setting_observable
+from .quantum import NoiseModel, depolarize_each, joint_distribution, make_ghz, outcome_bits
 
 ABORT_EC = "ec_failure"
 ABORT_PE = "parameter_estimation"
@@ -212,23 +212,9 @@ def _round_distributions(n_parties: int, qber: float) -> dict[int, np.ndarray]:
     questions with the remaining Bobs on input 1.
     """
     state = depolarize_each(make_ghz(n_parties), NoiseModel(qber_to_pdep(qber)))
-    n_rest = n_parties - 2
-    tables = {}
-    key_settings = [
-        setting_observable("alice", 0),
-        setting_observable("bob1", 2),
-        *[setting_observable("bobk", 0)] * n_rest,
-    ]
-    tables[0] = np.cumsum(joint_distribution(state, key_settings))
-    for x in (0, 1):
-        for y in (0, 1):
-            settings = [
-                setting_observable("alice", x),
-                setting_observable("bob1", y),
-                *[setting_observable("bobk", 1)] * n_rest,
-            ]
-            tables[1 + 2 * x + y] = np.cumsum(joint_distribution(state, settings))
-    return tables
+    settings = honest_settings(n_parties)
+    classes = [settings.key] + [settings.question(x, y) for x in (0, 1) for y in (0, 1)]
+    return {cid: np.cumsum(joint_distribution(state, obs)) for cid, obs in enumerate(classes)}
 
 
 def _measure_rounds(config: ProtocolConfig, streams: _Streams) -> Transcript:
@@ -254,8 +240,7 @@ def _measure_rounds(config: ProtocolConfig, streams: _Streams) -> Transcript:
         mask = cls == cid
         if mask.any():
             idx[mask] = np.minimum(np.searchsorted(cum, u[mask], side="right"), len(cum) - 1)
-    shifts = np.arange(n_par - 1, -1, -1, dtype=np.int64)
-    tr.outcomes = ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+    tr.outcomes = outcome_bits(idx, n_par)
     return tr
 
 
@@ -274,7 +259,7 @@ def reconcile(
 
     Each Bob's raw key is his outcome string corrected to Alice's by an
     oracle channel, then checked against a Toeplitz tag of Alice's string
-    (tag length ceil(log2(1/eps'_EC))).  Each Bob also disclosures his
+    (tag length ceil(log2(1/eps'_EC))).  Each Bob also discloses his
     test-round output bits verbatim, which later serve as Alice's exact
     guesses.  ``bob_keys`` substitutes the corrected strings, as a seam for
     corruption experiments; any verification failure aborts the run.

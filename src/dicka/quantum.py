@@ -9,7 +9,8 @@ Conventions
   to the -1 eigenvalue.
 * A probability table over outcome strings is a flat array of length 2**N,
   indexed by the integer whose binary expansion is the outcome string with
-  party 0 in the most significant position.
+  party 0 in the most significant position; ``outcome_bits`` is the one
+  decoder of such indices back to per-party bits.
 
 Everything here is a pure function of its inputs; there is no shared
 mutable state, so evaluation is safe to parallelise across parameter
@@ -23,7 +24,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, InvalidInputError, SizeOutOfRangeError
+from .errors import DimensionMismatchError, DomainError, SizeOutOfRangeError
 
 MAX_QUBITS = 12
 
@@ -114,18 +115,6 @@ class NoiseModel:
             raise DomainError(f"p_dep must lie in [0, 1], got {self.p_dep!r}")
 
 
-_OBS_Z = Observable("Z", PAULI_Z)
-_OBS_X = Observable("X", PAULI_X)
-_OBS_ZPX = Observable("ZplusX", (PAULI_Z + PAULI_X) / np.sqrt(2.0))
-_OBS_ZMX = Observable("ZminusX", (PAULI_Z - PAULI_X) / np.sqrt(2.0))
-
-_SETTING_TABLES = {
-    "alice": {0: _OBS_Z, 1: _OBS_X},
-    "bob1": {2: _OBS_Z, 0: _OBS_ZPX, 1: _OBS_ZMX},
-    "bobk": {0: _OBS_Z, 1: _OBS_X},
-}
-
-
 def make_ghz(n_qubits: int) -> PureState:
     """GHZ state (|0...0> + |1...1>)/sqrt(2) on 2..12 qubits."""
     if not 2 <= n_qubits <= MAX_QUBITS:
@@ -160,22 +149,6 @@ def depolarize_each(state: Union[PureState, MixedState], noise: NoiseModel) -> M
     return MixedState(state.n_qubits, rho)
 
 
-def setting_observable(party_role: str, input: int) -> Observable:
-    """Honest input-to-observable mapping for a party role.
-
-    Alice: 0 -> Z, 1 -> X.  Bob1: 2 -> Z, 0 -> (Z+X)/sqrt2, 1 -> (Z-X)/sqrt2.
-    BobK (k >= 2): 0 -> Z, 1 -> X.
-    """
-    role = party_role.lower()
-    table = _SETTING_TABLES.get(role)
-    if table is None:
-        raise InvalidInputError(f"unknown party role {party_role!r}")
-    obs = table.get(input)
-    if obs is None:
-        raise InvalidInputError(f"input {input!r} is outside the domain of role {party_role!r}")
-    return obs
-
-
 def joint_distribution(state: MixedState, settings: Sequence[Observable]) -> np.ndarray:
     """Born-rule outcome distribution for one observable per qubit.
 
@@ -193,3 +166,9 @@ def joint_distribution(state: MixedState, settings: Sequence[Observable]) -> np.
     probs = np.diagonal(t.reshape(2**n, 2**n)).real.copy()
     np.clip(probs, 0.0, None, out=probs)
     return probs
+
+
+def outcome_bits(idx: np.ndarray, n_qubits: int) -> np.ndarray:
+    """uint8 outcome bits of integer outcome indices: one row per index, party 0 first."""
+    shifts = np.arange(n_qubits - 1, -1, -1, dtype=np.int64)
+    return ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)

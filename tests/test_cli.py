@@ -2,6 +2,8 @@
 
 import math
 
+import pytest
+
 from dicka.cli import main
 
 EPS_LINES = """
@@ -134,6 +136,23 @@ def test_keylen_variant_switch_touches_only_second_order_and_pa(tmp_path):
     assert float(kv_app["pa_term"]) == float(kv_main["pa_term"]) / 2
 
 
+def test_keylen_rejects_epsilon_below_floor(tmp_path, capsys):
+    # below ~6e-154 the key-length terms leave the float range; such budgets are config errors
+    def keylen(eps_ec_tilde, others="1e-8"):
+        text = KEYLEN_CONFIG.replace("= 1e-8", f"= {others}").replace("eps_ec_tilde = " + others, "")
+        eps_ec = float(others) + float(eps_ec_tilde)
+        text = text.replace("eps_ec = 2e-8", f"eps_ec = {eps_ec!r}\neps_ec_tilde = {eps_ec_tilde}")
+        return main(["keylen", "--config", _write(tmp_path, "kl.cfg", text)])
+
+    for eps_ec_tilde in ("1e-170", "1e-160"):
+        assert keylen(eps_ec_tilde) == 1
+        assert "error: eps_ec_tilde must lie in [1e-150, 1)" in capsys.readouterr().err
+    assert keylen("1e-200", others="1e-200") == 1
+    assert "error: eps_smooth must lie in [1e-150, 1)" in capsys.readouterr().err
+    assert keylen("1e-150") == 0
+    assert keylen("1e-150", others="1e-150") == 0
+
+
 RATES_CONFIG = """
 n_list = 3,4,5,6,7
 q_min = 0
@@ -199,6 +218,16 @@ def test_rates_rejects_bad_grid_and_format(tmp_path):
     assert main(["rates", "--config", cfg]) == 1
     good = _write(tmp_path, "ok.cfg", RATES_CONFIG)
     assert main(["rates", "--config", good, "--format", "kv-json"]) == 1
+
+
+def test_rates_q_grid_stops_at_q_max(tmp_path):
+    for q_max, q_step, want in (("0.05", "0.03", [0.0, 0.03]), ("0.49", "0.3", [0.0, 0.3])):
+        text = f"n_list = 3\nq_min = 0\nq_max = {q_max}\nq_step = {q_step}\n"
+        cfg = _write(tmp_path, "grid.cfg", text)
+        out = tmp_path / "grid.csv"
+        assert main(["rates", "--config", cfg, "--out", str(out)]) == 0
+        qs = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+        assert qs == pytest.approx(want, abs=1e-15)
 
 
 GAME_CONFIG = """

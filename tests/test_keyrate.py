@@ -374,6 +374,11 @@ def test_rate_clamps_below_classical_violation():
 def test_budget_validation():
     with pytest.raises(DomainError):
         EpsilonBudget(smooth=1e-8, pa=1e-8, ea=1e-8, ec=1e-8, ec_prime=1e-8, ec_tilde=1e-8)
+    # no epsilon below 1e-150: there (eps/4)^2 and 8/eps^2 leave the float range
+    for name in ("smooth", "pa", "ea", "ec_prime", "ec_tilde"):
+        with pytest.raises(DomainError):
+            _budget(**{name: 9.9e-151})
+    _budget(smooth=1e-150, pa=1e-150, ea=1e-150, ec_prime=1e-150, ec_tilde=1e-150)
     with pytest.raises(DomainError):
         _params(delta=0.75)
     with pytest.raises(DomainError):

@@ -10,18 +10,25 @@ from dicka import (
     EpsilonBudget,
     InvalidInputError,
     LengthMismatchError,
+    NoiseModel,
     ProtocolConfig,
     Transcript,
     amplify,
     completeness_bound,
+    depolarize_each,
     estimate_parameters,
     finite_key_length,
+    honest_settings,
+    joint_distribution,
+    make_ghz,
     pexp_formula,
+    qber_to_pdep,
     read_summary,
     reconcile,
     run_protocol,
 )
-from dicka.protocol import ABORT_EC, ABORT_PE, _Streams, _measure_rounds
+from dicka.game import _questions
+from dicka.protocol import ABORT_EC, ABORT_PE, _Streams, _measure_rounds, _round_distributions
 
 
 def _budget():
@@ -241,6 +248,20 @@ def test_win_rate_tracks_quantum_value():
     p = pexp_formula(3, 0.02)
     sigma = math.sqrt(p * (1 - p) / tr.n_test_rounds)
     assert abs(tr.win_rate - p) < 5 * sigma
+
+
+def test_round_distributions_are_the_game_tables():
+    # sampling draws from exactly the distributions the game scores
+    for n in range(3, 7):
+        for qber in (0.0, 0.013):
+            state = depolarize_each(make_ghz(n), NoiseModel(qber_to_pdep(qber)))
+            settings = honest_settings(n)
+            dists = [joint_distribution(state, settings.key)]
+            dists += [dist for dist, _, _ in _questions(state, settings)]
+            tables = _round_distributions(n, qber)
+            assert list(tables) == [0, 1, 2, 3, 4]
+            for cid, dist in enumerate(dists):
+                assert np.array_equal(tables[cid], np.cumsum(dist))
 
 
 def test_transcript_determinism():

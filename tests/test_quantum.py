@@ -9,17 +9,17 @@ import pytest
 from dicka import (
     DimensionMismatchError,
     DomainError,
-    InvalidInputError,
     MixedState,
     NoiseModel,
+    Observable,
     PureState,
     SizeOutOfRangeError,
     depolarize_each,
+    honest_settings,
     joint_distribution,
     make_ghz,
-    setting_observable,
 )
-from dicka.quantum import PAULI_I, PAULI_X, PAULI_Z
+from dicka.quantum import PAULI_I, PAULI_X, PAULI_Z, outcome_bits
 
 SQRT2 = math.sqrt(2.0)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -104,37 +104,49 @@ def test_channel_sanity_over_p_grid():
             assert np.linalg.eigvalsh(rho)[0] >= -1e-10
 
 
-def test_setting_observable_mapping():
-    assert np.allclose(setting_observable("alice", 0).matrix, PAULI_Z)
-    assert np.allclose(setting_observable("alice", 1).matrix, PAULI_X)
-    assert np.allclose(setting_observable("bob1", 0).matrix, (PAULI_Z + PAULI_X) / SQRT2)
-    assert np.allclose(setting_observable("bob1", 1).matrix, (PAULI_Z - PAULI_X) / SQRT2)
-    assert np.allclose(setting_observable("bob1", 2).matrix, PAULI_Z)
-    assert np.allclose(setting_observable("bobk", 0).matrix, PAULI_Z)
-    assert np.allclose(setting_observable("bobk", 1).matrix, PAULI_X)
+def _matrices_are(observables, matrices):
+    return len(observables) == len(matrices) and all(
+        np.array_equal(obs.matrix, m) for obs, m in zip(observables, matrices)
+    )
 
 
-def test_setting_observable_domain():
-    with pytest.raises(InvalidInputError):
-        setting_observable("bobk", 2)
-    with pytest.raises(InvalidInputError):
-        setting_observable("alice", 2)
-    with pytest.raises(InvalidInputError):
-        setting_observable("carol", 0)
+def test_honest_settings_mapping():
+    zpx = (PAULI_Z + PAULI_X) / np.sqrt(2.0)
+    zmx = (PAULI_Z - PAULI_X) / np.sqrt(2.0)
+    for n in (2, 3, 5):
+        s = honest_settings(n)
+        assert _matrices_are(s.alice, [PAULI_Z, PAULI_X])
+        assert _matrices_are(s.bob1, [zpx, zmx])
+        assert _matrices_are(s.rest, [PAULI_X] * (n - 2))
+        assert _matrices_are(s.key, [PAULI_Z] * n)
+        assert s.n_parties == n
+        for x in (0, 1):
+            for y in (0, 1):
+                question = s.question(x, y)
+                assert len(question) == n
+                assert question[0] is s.alice[x] and question[1] is s.bob1[y]
+                assert all(got is want for got, want in zip(question[2:], s.rest))
 
 
 def test_observables_are_involutions():
-    for role, inputs in (("alice", (0, 1)), ("bob1", (0, 1, 2)), ("bobk", (0, 1))):
-        for inp in inputs:
-            m = setting_observable(role, inp).matrix
-            assert np.max(np.abs(m @ m - PAULI_I)) < 1e-12
+    s = honest_settings(3)
+    for obs in (*s.alice, *s.bob1, *s.rest, *s.key):
+        assert np.max(np.abs(obs.matrix @ obs.matrix - PAULI_I)) < 1e-12
+
+
+def test_outcome_bits_repack_to_index():
+    for n in range(1, 9):
+        idx = np.arange(2**n)
+        bits = outcome_bits(idx, n)
+        assert bits.dtype == np.uint8 and bits.shape == (2**n, n)
+        weights = 1 << np.arange(n - 1, -1, -1)  # party 0 is the most significant bit
+        assert np.array_equal(bits.astype(np.int64) @ weights, idx)
 
 
 def test_joint_distribution_ghz_all_z():
     for n in (2, 3, 5):
         state = depolarize_each(make_ghz(n), NoiseModel(0.0))
-        z = setting_observable("alice", 0)
-        dist = joint_distribution(state, [z] * n)
+        dist = joint_distribution(state, honest_settings(n).key)
         assert abs(dist[0] - 0.5) < 1e-12
         assert abs(dist[-1] - 0.5) < 1e-12
         assert np.max(np.abs(dist[1:-1])) < 1e-12
@@ -142,15 +154,16 @@ def test_joint_distribution_ghz_all_z():
 
 def test_joint_distribution_single_qubit():
     zero = PureState(1, np.array([1.0, 0.0])).density_matrix()
-    dist = joint_distribution(zero, [setting_observable("alice", 0)])
+    dist = joint_distribution(zero, [Observable("Z", PAULI_Z)])
     assert abs(dist[0] - 1.0) < 1e-12
 
 
 def test_joint_distribution_correlator_oracle():
     # direct 4x4 matrix-trace oracle for <X (x) (Z+X)/sqrt2> on GHZ_2
     state = depolarize_each(make_ghz(2), NoiseModel(0.0))
-    obs_a = setting_observable("alice", 1)
-    obs_b = setting_observable("bob1", 0)
+    settings = honest_settings(2)
+    obs_a = settings.alice[1]
+    obs_b = settings.bob1[0]
     oracle = np.trace(state.matrix @ np.kron(obs_a.matrix, obs_b.matrix)).real
     dist = joint_distribution(state, [obs_a, obs_b])
     signs = np.array([1.0, -1.0, -1.0, 1.0])  # (-1)^(a xor b)
@@ -161,22 +174,19 @@ def test_joint_distribution_correlator_oracle():
 def test_joint_distribution_dimension_mismatch():
     state = depolarize_each(make_ghz(3), NoiseModel(0.0))
     with pytest.raises(DimensionMismatchError):
-        joint_distribution(state, [setting_observable("alice", 0)] * 2)
+        joint_distribution(state, [Observable("Z", PAULI_Z)] * 2)
 
 
 def test_born_rule_normalisation_all_setting_combos():
+    # every party on every honest observable it can hold: Z and X, or Bob_1's three
     for n in range(2, 7):
+        s = honest_settings(n)
+        z, x = s.alice
         state = depolarize_each(make_ghz(n), NoiseModel(0.13))
-        rest_inputs = itertools.product((0, 1), repeat=n - 2)
-        for rest in rest_inputs:
-            for x in (0, 1):
-                for y in (0, 1, 2):
-                    settings = [
-                        setting_observable("alice", x),
-                        setting_observable("bob1", y),
-                        *[setting_observable("bobk", r) for r in rest],
-                    ]
-                    dist = joint_distribution(state, settings)
+        for rest in itertools.product((z, x), repeat=n - 2):
+            for obs_a in s.alice:
+                for obs_b in (*s.bob1, s.key[1]):
+                    dist = joint_distribution(state, [obs_a, obs_b, *rest])
                     assert abs(float(dist.sum()) - 1.0) < 1e-10
 
 
