@@ -33,7 +33,7 @@ from .keyrate import (
     finite_key_length,
     qber_to_pdep,
 )
-from .protocol import ProtocolConfig, run_protocol
+from .protocol import ProtocolConfig, run_protocol, summary_json
 from .quantum import NoiseModel, depolarize_each, make_ghz
 
 EXIT_OK = 0
@@ -123,7 +123,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     transcript = run_protocol(config)
     text = transcript.serialize()
     _write_output(text, args.out)
-    sys.stdout.write(text.rsplit("SUMMARY ", 1)[-1])
+    sys.stdout.write(summary_json(text) + "\n")
     return EXIT_ABORT if transcript.abort is not None else EXIT_OK
 
 

@@ -59,6 +59,13 @@ def hex_to_bits(hexstr: str, n_bits: int) -> np.ndarray:
     return bits[:n_bits].copy()
 
 
+def _check_lengths(in_len: int, out_len: int) -> None:
+    if in_len < 1:
+        raise LengthMismatchError("in_len must be positive")
+    if not 0 <= out_len <= in_len:
+        raise LengthMismatchError("out_len must lie in [0, in_len]")
+
+
 @dataclass(frozen=True)
 class ToeplitzSeed:
     """Diagonal description of an out_len x in_len Toeplitz matrix over GF(2)."""
@@ -68,10 +75,7 @@ class ToeplitzSeed:
     diagonal_bits: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.in_len < 1:
-            raise LengthMismatchError("in_len must be positive")
-        if not 0 <= self.out_len <= self.in_len:
-            raise LengthMismatchError("out_len must lie in [0, in_len]")
+        _check_lengths(self.in_len, self.out_len)
         bits = as_bits(self.diagonal_bits)
         expected = self.in_len + self.out_len - 1
         if bits.size != expected:
@@ -82,9 +86,18 @@ class ToeplitzSeed:
 
 
 def random_seed(in_len: int, out_len: int, rng: np.random.Generator) -> ToeplitzSeed:
-    """Draw a fresh seed with uniformly random diagonal bits."""
-    n_bits = in_len + out_len - 1
-    return ToeplitzSeed(in_len, out_len, rng.integers(0, 2, size=n_bits, dtype=np.uint8))
+    """Draw a fresh seed with uniformly random diagonal bits.
+
+    The drawn diagonal is a uint8 array of 0/1 of the right length by
+    construction, so the seed is built without the bit check that
+    ``ToeplitzSeed(...)`` runs on bits from outside.
+    """
+    _check_lengths(in_len, out_len)
+    bits = rng.integers(0, 2, size=in_len + out_len - 1, dtype=np.uint8)
+    seed = object.__new__(ToeplitzSeed)
+    for name, value in (("in_len", in_len), ("out_len", out_len), ("diagonal_bits", bits)):
+        object.__setattr__(seed, name, value)
+    return seed
 
 
 def toeplitz_hash(seed: ToeplitzSeed, input: BitsLike) -> np.ndarray:

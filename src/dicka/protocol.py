@@ -22,7 +22,9 @@ One line per round::
 
     <i> <t> <x> <y1> <a> <bob bits> <c>
 
-with ``c`` printed as ``1`` (win), ``0`` (lose) or ``-`` (untested).  Then
+with ``c`` printed as ``1`` (win), ``0`` (lose) or ``-`` (untested).  The
+round lines are built as one uint8 byte matrix (see
+:meth:`Transcript.serialize`): ASCII digits, LF line ends, no locale.  Then
 hex blocks (bit strings packed little-endian per byte, see
 :mod:`dicka.hashing`)::
 
@@ -89,9 +91,6 @@ class ProtocolConfig:
         )
 
 
-_C_CHAR = {1: "1", 0: "0", -1: "-"}
-
-
 @dataclass
 class Transcript:
     """Complete record of one protocol run (built up in stages)."""
@@ -154,14 +153,8 @@ class Transcript:
         }
 
     def serialize(self) -> str:
+        """The transcript text; the round lines come from :meth:`_round_lines`."""
         lines = []
-        bobs_cols = self.outcomes[:, 1:] if self.n_rounds else np.zeros((0, 0), dtype=np.uint8)
-        for i in range(self.n_rounds):
-            bobs = "".join(str(int(b)) for b in bobs_cols[i])
-            lines.append(
-                f"{i} {int(self.t[i])} {int(self.x[i])} {int(self.y1[i])} "
-                f"{int(self.outcomes[i, 0])} {bobs} {_C_CHAR[int(self.c[i])]}"
-            )
         if self.ec_seed is not None:
             lines.append(
                 f"EC_SEED {self.ec_seed.in_len} {self.ec_seed.out_len} "
@@ -176,15 +169,60 @@ class Transcript:
                 f"{bits_to_hex(self.pa_seed.diagonal_bits)}"
             )
         lines.append("SUMMARY " + json.dumps(self.summary(), sort_keys=True))
-        return "\n".join(lines) + "\n"
+        return self._round_lines() + "".join(line + "\n" for line in lines)
+
+    def _round_lines(self) -> str:
+        """All round lines, each ending in LF, built as uint8 byte matrices.
+
+        Every field after the round index is one ASCII character, so the line
+        tail ``" t x y1 a <bobs> c\\n"`` is a fixed-width row, written column
+        by column.  The decimal index changes width at each power of ten:
+        rounds [10^(d-1), 10^d) form one block of rows d characters wider than
+        the tail, and the blocks lie back to back in one flat buffer.
+        """
+        n = self.n_rounds
+        if n == 0:
+            return ""
+        n_bobs = self.outcomes.shape[1] - 1
+        width = n_bobs + 12
+        tail = np.full((n, width), ord(" "), dtype=np.uint8)
+        tail[:, 1:8:2] = np.column_stack([self.t, self.x, self.y1, self.outcomes[:, 0]])
+        tail[:, 9:-3] = self.outcomes[:, 1:]
+        tail[:, 1:8:2] += ord("0")
+        tail[:, 9:-3] += ord("0")
+        tail[:, -2] = np.frombuffer(b"-01", dtype=np.uint8)[self.c + 1]
+        tail[:, -1] = ord("\n")
+
+        bounds = [0] + [10**d for d in range(1, len(str(n - 1)))] + [n]
+        blocks = [(d, lo, hi) for d, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start=1)]
+        buf = np.empty(sum((hi - lo) * (d + width) for d, lo, hi in blocks), dtype=np.uint8)
+        offset = 0
+        for d, lo, hi in blocks:
+            block = buf[offset:offset + (hi - lo) * (d + width)].reshape(hi - lo, d + width)
+            index = np.arange(lo, hi)
+            for k in range(d):
+                block[:, d - 1 - k] = index // 10**k % 10 + ord("0")
+            block[:, d:] = tail[lo:hi]
+            offset += block.size
+        return str(buf, "ascii")  # decodes the buffer in place, no bytes copy
+
+
+def summary_json(text: str) -> str:
+    """The JSON text of the last SUMMARY line of a serialized transcript.
+
+    Found by one reverse search, so the round lines are neither split nor
+    copied.
+    """
+    start = text.rfind("\nSUMMARY ") + 1
+    if start == 0 and not text.startswith("SUMMARY "):
+        raise ValueError("transcript has no SUMMARY line")
+    end = text.find("\n", start)
+    return text[start + len("SUMMARY "):end if end >= 0 else len(text)]
 
 
 def read_summary(text: str) -> dict:
     """Parse the SUMMARY line out of a serialized transcript."""
-    for line in reversed(text.splitlines()):
-        if line.startswith("SUMMARY "):
-            return json.loads(line[len("SUMMARY "):])
-    raise ValueError("transcript has no SUMMARY line")
+    return json.loads(summary_json(text))
 
 
 @dataclass

@@ -50,6 +50,10 @@ def test_simulate_success_and_determinism(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
     captured = capsys.readouterr()
     assert '"keys_identical": true' in captured.out
+    # each run echoes the transcript's SUMMARY JSON, byte for byte
+    summary_line = out1.read_text().splitlines()[-1]
+    assert summary_line.startswith("SUMMARY ")
+    assert captured.out == 2 * (summary_line[len("SUMMARY "):] + "\n")
 
 
 def test_simulate_seed_override_changes_transcript(tmp_path):

@@ -141,6 +141,31 @@ def test_length_mismatches_raise():
         ToeplitzSeed(4, 2, "101")
 
 
+def test_outside_seed_is_checked_and_drawn_seed_matches_it():
+    # bits from outside go through the full check
+    with pytest.raises(LengthMismatchError):
+        ToeplitzSeed(4, 2, np.zeros(4, dtype=np.uint8))
+    with pytest.raises(ValueError):
+        ToeplitzSeed(4, 2, np.array([1, 0, 2, 1, 0], dtype=np.uint8))
+    with pytest.raises(ValueError):
+        ToeplitzSeed(4, 2, "10120")
+    # a drawn seed skips the bit check but still rejects bad lengths
+    rng = np.random.Generator(np.random.PCG64(37))
+    for in_len, out_len in ((0, 0), (3, 4), (3, -1)):
+        with pytest.raises(LengthMismatchError):
+            random_seed(in_len, out_len, rng)
+    # and is the seed the checked constructor builds from the same draw
+    for in_len, out_len in ((1, 0), (1, 1), (7, 3), (64, 64)):
+        drawn = random_seed(in_len, out_len, np.random.Generator(np.random.PCG64(in_len)))
+        bits = np.random.Generator(np.random.PCG64(in_len)).integers(
+            0, 2, size=in_len + out_len - 1, dtype=np.uint8
+        )
+        checked = ToeplitzSeed(in_len, out_len, bits)
+        assert (drawn.in_len, drawn.out_len) == (checked.in_len, checked.out_len)
+        assert drawn.diagonal_bits.dtype == checked.diagonal_bits.dtype == np.uint8
+        assert np.array_equal(drawn.diagonal_bits, checked.diagonal_bits)
+
+
 def test_two_universality_statistics():
     # collision fraction for fixed distinct inputs, 8-bit output: 2^-8 expected
     rng = np.random.Generator(np.random.PCG64(29))

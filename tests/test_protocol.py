@@ -1,5 +1,6 @@
 """End-to-end and per-step tests of the protocol engine."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -285,7 +286,71 @@ def test_transcript_serialization_shape():
     assert summary["keys_identical"] is True
     rounds = [line.split() for line in lines[:25]]
     assert all(len(fields) == 7 for fields in rounds)  # i t x y1 a bobs c
-    assert [fields[6] for fields in rounds] == [{1: "1", 0: "0", -1: "-"}[int(c)] for c in tr.c]
+    assert [fields[6] for fields in rounds] == [_C_CHAR[int(c)] for c in tr.c]
+
+
+def test_read_summary_takes_the_last_summary_line():
+    assert read_summary('SUMMARY {"a": 1}\n') == {"a": 1}
+    assert read_summary('SUMMARY {"a": 1}') == {"a": 1}
+    text = '0 1 0 1 1 01 1\nSUMMARY {"a": 1}\nXSUMMARY {"a": 3}\nSUMMARY {"a": 2}\nEND\n'
+    assert read_summary(text) == {"a": 2}
+    for text in ("", "0 0 0 2 1 11 -\n", 'XSUMMARY {"a": 1}\n', 'SUMMARY{"a": 1}\n'):
+        with pytest.raises(ValueError):
+            read_summary(text)
+
+
+_C_CHAR = {1: "1", 0: "0", -1: "-"}
+
+
+def _oracle_serialize_rounds(tr):
+    """Round lines built one f-string per round: the reference for the byte builder."""
+    lines = []
+    bobs_cols = tr.outcomes[:, 1:] if tr.n_rounds else np.zeros((0, 0), dtype=np.uint8)
+    for i in range(tr.n_rounds):
+        bobs = "".join(str(int(b)) for b in bobs_cols[i])
+        lines.append(
+            f"{i} {int(tr.t[i])} {int(tr.x[i])} {int(tr.y1[i])} "
+            f"{int(tr.outcomes[i, 0])} {bobs} {_C_CHAR[int(tr.c[i])]}"
+        )
+    return "".join(line + "\n" for line in lines)
+
+
+def _serialization_case(kind, n_parties, n_rounds):
+    # mu = 0.5 and Q = 0.05 give wins, losses and key rounds from about 100 rounds on
+    config = _config(
+        n_parties=n_parties, n_rounds=n_rounds, mu=0.5, qber=0.05, delta=0.78,
+        key_len=min(n_rounds, 16), rng_seed=1000 * n_parties + n_rounds,
+    )
+    if kind == "success":
+        return run_protocol(config)
+    if kind == "pe_abort":
+        return run_protocol(dataclasses.replace(config, qber=0.2, delta=0.85))
+    streams = _Streams.from_seed(config.rng_seed)
+    tr = _measure_rounds(config, streams)
+    if kind == "measure_only":
+        return tr
+    bob_keys = [tr.outcomes[:, 0].copy() for _ in range(n_parties - 1)]
+    if n_rounds:
+        bob_keys[-1][n_rounds // 2] ^= 1
+    return reconcile(config, tr, streams.ec, bob_keys=bob_keys)
+
+
+@pytest.mark.parametrize("kind", ["success", "pe_abort", "ec_abort", "measure_only"])
+@pytest.mark.parametrize("n_parties", range(3, 9))
+def test_round_lines_match_oracle(kind, n_parties):
+    # every decimal-width boundary of the round index up to five digits
+    for n_rounds in (0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 10001):
+        tr = _serialization_case(kind, n_parties, n_rounds)
+        expected = _oracle_serialize_rounds(tr)
+        text = tr.serialize()
+        assert text[:len(expected)] == expected
+        assert text[len(expected):].startswith(("EC_SEED ", "SUMMARY "))
+        if kind == "measure_only":
+            assert (tr.c == -1).all()
+        elif kind == "success" and n_rounds >= 1000:
+            assert set(tr.c.tolist()) == {-1, 0, 1}
+        elif kind != "success" and n_rounds >= 1000:
+            assert tr.abort == {"pe_abort": ABORT_PE, "ec_abort": ABORT_EC}[kind]
 
 
 def test_round_records_consistent():
