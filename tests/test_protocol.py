@@ -272,6 +272,9 @@ def test_transcript_determinism():
     assert a == b
 
 
+_C_CHAR = {1: "1", 0: "0", -1: "-"}
+
+
 def test_transcript_serialization_shape():
     config = _config(n_rounds=25, key_len=8, rng_seed=0)
     tr = run_protocol(config)
@@ -297,9 +300,6 @@ def test_read_summary_takes_the_last_summary_line():
     for text in ("", "0 0 0 2 1 11 -\n", 'XSUMMARY {"a": 1}\n', 'SUMMARY{"a": 1}\n'):
         with pytest.raises(ValueError):
             read_summary(text)
-
-
-_C_CHAR = {1: "1", 0: "0", -1: "-"}
 
 
 def _oracle_serialize_rounds(tr):
