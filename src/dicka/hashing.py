@@ -31,15 +31,16 @@ BitsLike = Union[str, Sequence[int], np.ndarray]
 
 
 def as_bits(bits: BitsLike) -> np.ndarray:
-    """Coerce a '01' string or integer sequence to a uint8 bit array."""
+    """Check a '01' string or a bool or integer sequence of 0/1, then cast it to uint8."""
     if isinstance(bits, str):
         if any(ch not in "01" for ch in bits):
             raise ValueError(f"not a bit string: {bits!r}")
         return np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.ndim != 1 or (arr.size and arr.max() > 1):
-        raise ValueError("bits must be a one-dimensional array of 0/1")
-    return arr
+    arr = np.asarray(bits)
+    kind = arr.dtype.kind
+    if arr.ndim != 1 or arr.size and (kind not in "biu" or arr.max() > 1 or kind == "i" and arr.min() < 0):
+        raise ValueError("bits must be a one-dimensional bool or integer array of 0/1")
+    return arr.astype(np.uint8, copy=False)
 
 
 def bits_to_hex(bits: BitsLike) -> str:

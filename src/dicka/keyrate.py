@@ -4,9 +4,9 @@ Contains every analytic ingredient of the security accounting: binary
 entropy, the convex min-tradeoff bound on certified one-round entropy as a
 function of the winning probability, its affine tangent, the entropy
 accumulation second-order coefficient, error-correction leakage bounds, the
-finite-size key length with its inner tangent-point optimisation, the
-completeness (honest-abort) bound, and the asymptotic rates of the
-conference-key protocol and of the (N-1)-pairwise-QKD baseline.
+finite-size key length with its tangent point, the completeness
+(honest-abort) bound, and the asymptotic rates of the conference-key
+protocol and of the (N-1)-pairwise-QKD baseline.
 
 All logarithms are base 2 except the exponential inside the Hoeffding-style
 completeness bound, which is natural.
@@ -16,11 +16,23 @@ privacy-amplification penalty circulate; they differ by a 1/mu factor on
 the tradeoff slope and by a factor 2 on log(1/eps_PA).  The ``variant``
 switch ("main", the default, or "appendix") selects between them and
 changes nothing else.
+
+The tangent point.  With f(p) = min_tradeoff_fhat(p / mu, mu) and
+q1 = mu delta, the key length depends on the tangent point p only through
+O(p) = n (f(p) + f'(p) (q1 - p) - mu) - sqrt(n) v_tilde(p), and v_tilde is
+affine in f'(p) with coefficient K = 2 A / mu ("main") or 2 A ("appendix"),
+A = sqrt(1 - 2 log2(eps_smooth eps_EA)); so O'(p) = f''(p) (n (q1 - p) - K sqrt(n)).
+f is strictly convex on (3 mu/4, mu Tsirelson): f'(p) is a positive constant
+times s artanh(g) / g, s = 4 p / mu - 2 and g = sqrt(s^2 - 1) all growing in
+p.  So O peaks at p* = q1 - K / sqrt(n) < mu Tsirelson.  When p* lies at or
+below 3 mu/4 (n = 0 included), O falls on the whole interval and the tangent
+point is taken at delta_opt = 3/4 + 4.5e-11, next to that open end.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -41,6 +53,34 @@ _LOG2_7 = math.log2(7.0)
 # Smallest accepted epsilon.  Below about 6e-154, (eps/4)^2 underflows to 0
 # and 8/eps^2 overflows, so the key-length terms stop being finite.
 _EPS_FLOOR = 1e-150
+
+# delta_opt - 3/4 when the tangent point clamps to the open classical end
+_END_GAP = 4.5e-11
+
+
+def _check_parties(n_parties: int) -> None:
+    if n_parties < 2:
+        raise DomainError(f"need at least 2 parties, got {n_parties}")
+
+
+def _check_qber(qber: float) -> None:
+    if not 0.0 <= qber < 0.5:
+        raise DomainError(f"qber must lie in [0, 1/2), got {qber!r}")
+
+
+def _check_mu(mu: float) -> None:
+    if not 0.0 < mu <= 1.0:
+        raise DomainError(f"mu must lie in (0, 1], got {mu!r}")
+
+
+def _check_variant(variant: str) -> None:
+    if variant not in _VARIANTS:
+        raise DomainError(f"variant must be one of {_VARIANTS}, got {variant!r}")
+
+
+def _check_eps(name: str, value: float) -> None:
+    if not _EPS_FLOOR <= value < 1.0:
+        raise DomainError(f"{name} must lie in [{_EPS_FLOOR:g}, 1), got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -63,9 +103,7 @@ class EpsilonBudget:
 
     def __post_init__(self) -> None:
         for name in ("smooth", "pa", "ea", "ec", "ec_prime", "ec_tilde"):
-            value = getattr(self, name)
-            if not _EPS_FLOOR <= value < 1.0:
-                raise DomainError(f"eps_{name} must lie in [{_EPS_FLOOR:g}, 1), got {value!r}")
+            _check_eps(f"eps_{name}", getattr(self, name))
         if abs(self.ec - (self.ec_prime + self.ec_tilde)) > 1e-12 * self.ec:
             raise DomainError(
                 f"eps_ec must equal eps_ec_tilde + eps_ec_prime "
@@ -79,7 +117,7 @@ class RateParams:
 
     n_parties N >= 2, test probability mu in (0, 1], abort threshold delta
     strictly inside (3/4, Tsirelson), QBER in [0, 1/2), number of rounds
-    n >= 0, the epsilon budget, and the formula variant.
+    n >= 0 (an integer), the epsilon budget, and the formula variant.
     """
 
     n_parties: int
@@ -91,20 +129,14 @@ class RateParams:
     variant: str = "main"
 
     def __post_init__(self) -> None:
-        if self.n_parties < 2:
-            raise DomainError(f"need at least 2 parties, got {self.n_parties}")
-        if not 0.0 < self.mu <= 1.0:
-            raise DomainError(f"mu must lie in (0, 1], got {self.mu!r}")
+        _check_parties(self.n_parties)
+        _check_mu(self.mu)
         if not CLASSICAL_BOUND < self.delta < TSIRELSON_BOUND:
-            raise DomainError(
-                f"delta must lie strictly in ({CLASSICAL_BOUND}, {TSIRELSON_BOUND}), got {self.delta!r}"
-            )
-        if not 0.0 <= self.qber < 0.5:
-            raise DomainError(f"qber must lie in [0, 1/2), got {self.qber!r}")
-        if self.n_rounds < 0:
-            raise DomainError(f"n_rounds must be nonnegative, got {self.n_rounds!r}")
-        if self.variant not in _VARIANTS:
-            raise DomainError(f"variant must be one of {_VARIANTS}, got {self.variant!r}")
+            raise DomainError(f"delta must lie strictly in (3/4, Tsirelson), got {self.delta!r}")
+        _check_qber(self.qber)
+        if not isinstance(self.n_rounds, numbers.Integral) or self.n_rounds < 0:
+            raise DomainError(f"n_rounds must be a nonnegative integer, got {self.n_rounds!r}")
+        _check_variant(self.variant)
 
 
 @dataclass(frozen=True)
@@ -153,8 +185,7 @@ def min_tradeoff_fhat(p_w: float, mu: float) -> float:
     entropy is certified, so the value clamps to 0; above the Tsirelson
     bound the input is unphysical and rejected.
     """
-    if not 0.0 < mu <= 1.0:
-        raise DomainError(f"mu must lie in (0, 1], got {mu!r}")
+    _check_mu(mu)
     if p_w < 0.0 or p_w > TSIRELSON_BOUND + 1e-12:
         raise DomainError(f"winning probability {p_w!r} outside [0, Tsirelson]")
     if p_w < CLASSICAL_BOUND:
@@ -171,10 +202,9 @@ def _clamped_entropy(arg: float) -> float:
 
 
 def _check_popt(p_opt: float, mu: float) -> None:
+    _check_mu(mu)
     if not mu * CLASSICAL_BOUND < p_opt < mu * TSIRELSON_BOUND:
-        raise DomainError(
-            f"p_opt must lie strictly in (mu*3/4, mu*(1/2+1/(2*sqrt2))), got {p_opt!r} for mu={mu!r}"
-        )
+        raise DomainError(f"p_opt must lie strictly in (mu*3/4, mu*Tsirelson), got {p_opt!r} for mu={mu!r}")
 
 
 def min_tradeoff_slope(p_opt: float, mu: float) -> float:
@@ -211,6 +241,11 @@ def _one_minus_sqrt_term(eps: float) -> float:
     return -math.expm1(0.5 * math.log1p(-t))
 
 
+def _ea_root(eps_smooth: float, eps_ea: float) -> float:
+    """A = sqrt(1 - 2 log2(eps * eps_EA)), the weight of the slope term in v_tilde."""
+    return math.sqrt(1.0 - 2.0 * math.log2(eps_smooth * eps_ea))
+
+
 def v_tilde(p_opt: float, mu: float, eps_smooth: float, eps_ea: float, variant: str = "main") -> float:
     """Second-order (sqrt-n) coefficient of the entropy accumulation bound.
 
@@ -219,14 +254,12 @@ def v_tilde(p_opt: float, mu: float, eps_smooth: float, eps_ea: float, variant: 
     where slope_term is slope/mu + 1 for the "main" variant and slope + 1
     for the "appendix" variant.
     """
-    if variant not in _VARIANTS:
-        raise DomainError(f"variant must be one of {_VARIANTS}, got {variant!r}")
-    for name, value in (("eps_smooth", eps_smooth), ("eps_ea", eps_ea)):
-        if not 0.0 < value < 1.0:
-            raise DomainError(f"{name} must lie in (0, 1), got {value!r}")
+    _check_variant(variant)
+    _check_eps("eps_smooth", eps_smooth)
+    _check_eps("eps_ea", eps_ea)
     slope = min_tradeoff_slope(p_opt, mu)
     slope_term = slope / mu + 1.0 if variant == "main" else slope + 1.0
-    first = 2.0 * (_LOG2_13 + slope_term) * math.sqrt(1.0 - 2.0 * math.log2(eps_smooth * eps_ea))
+    first = 2.0 * (_LOG2_13 + slope_term) * _ea_root(eps_smooth, eps_ea)
     eta = _one_minus_sqrt_term(eps_smooth)
     second = 2.0 * _LOG2_7 * math.sqrt(-(2.0 * math.log2(eps_ea) + math.log2(eta)))
     return first + second
@@ -252,61 +285,30 @@ def leak_ec_bounds(params: RateParams) -> tuple[float, float]:
     return leak_alice, leak_bob
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _maximize_scalar(fn, lo: float, hi: float, grid_points: int, tol: float) -> float:
-    """Global grid scan over the open interval, then golden-section refinement."""
-    best_i, best_v = 0, -math.inf
-    step = (hi - lo) / (grid_points + 1)
-    for i in range(1, grid_points + 1):
-        v = fn(lo + i * step)
-        if v > best_v:
-            best_i, best_v = i, v
-    # the bracket may reach the open ends: golden section never evaluates them
-    a = lo + (best_i - 1) * step
-    b = lo + (best_i + 1) * step
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-    return (a + b) / 2.0
+def _tangent_delta(params: RateParams) -> float:
+    """delta_opt = p*/mu, p* = q1 - K/sqrt(n) clamped to the classical end (module docstring)."""
+    end = CLASSICAL_BOUND + _END_GAP
+    if params.n_rounds == 0:
+        return end
+    k = 2.0 * _ea_root(params.eps.smooth, params.eps.ea) / (params.mu if params.variant == "main" else 1.0)
+    return max(params.delta - k / (params.mu * math.sqrt(params.n_rounds)), end)
 
 
 def finite_key_length(params: RateParams) -> KeyLengthBreakdown:
-    """Finite-size key length with the tangent point optimised.
+    """Finite-size key length at the optimal tangent point.
 
-    Maximises n (f(mu*delta, p_opt) - mu) - v_tilde(p_opt) sqrt(n) over
-    p_opt = mu * delta_opt with delta_opt on a 2000-point grid in
-    (3/4, Tsirelson) refined by golden section to 1e-10 width, then adds the
-    smoothing credit and subtracts the privacy-amplification penalty and the
-    error-correction leakages.  The returned length clamps at zero; the
-    signed sum survives in raw_length.
+    p_opt = mu delta - K / sqrt(n), or mu (3/4 + 4.5e-11) at the classical
+    end, maximises the entropy term less the second order (derivation in the
+    module docstring).  The smoothing credit is added, the privacy-amplification
+    penalty and the error-correction leakages are subtracted, and the length
+    clamps at zero; the signed sum survives in raw_length.
     """
     n = params.n_rounds
     mu = params.mu
     eps = params.eps
-    q1 = mu * params.delta
-    sqrt_n = math.sqrt(n)
-
-    def objective(delta_opt: float) -> float:
-        p_opt = mu * delta_opt
-        value = n * (tangent_f(q1, p_opt, mu) - mu)
-        return value - v_tilde(p_opt, mu, eps.smooth, eps.ea, params.variant) * sqrt_n
-
-    delta_opt = _maximize_scalar(objective, CLASSICAL_BOUND, TSIRELSON_BOUND, 2000, 1e-10)
-    p_opt = mu * delta_opt
-
-    entropy_term = n * (tangent_f(q1, p_opt, mu) - mu)
-    second_order = v_tilde(p_opt, mu, eps.smooth, eps.ea, params.variant) * sqrt_n
+    p_opt = mu * _tangent_delta(params)
+    entropy_term = n * (tangent_f(mu * params.delta, p_opt, mu) - mu)
+    second_order = v_tilde(p_opt, mu, eps.smooth, eps.ea, params.variant) * math.sqrt(n)
     smoothing_term = 3.0 * math.log2(_one_minus_sqrt_term(eps.smooth))
     pa_factor = 2.0 if params.variant == "main" else 1.0
     pa_term = pa_factor * math.log2(1.0 / eps.pa)
@@ -345,8 +347,7 @@ def completeness_bound(params: RateParams, p_exp: float) -> float:
 
 def qber_to_pdep(qber: float) -> float:
     """Depolarizing probability giving QBER Q between Alice and each Bob."""
-    if not 0.0 <= qber < 0.5:
-        raise DomainError(f"qber must lie in [0, 1/2), got {qber!r}")
+    _check_qber(qber)
     return 1.0 - math.sqrt(1.0 - 2.0 * qber)
 
 
@@ -367,8 +368,7 @@ def pexp_formula(n_parties: int, qber: float) -> float:
 
         p_exp = 1/2 + F^N / (2 sqrt 2) + F^2 (1 - F^(N-2)) / (4 sqrt 2).
     """
-    if n_parties < 2:
-        raise DomainError(f"need at least 2 parties, got {n_parties}")
+    _check_parties(n_parties)
     f = 1.0 - qber_to_pdep(qber)
     return 0.5 + f**n_parties / (2.0 * SQRT2) + f**2 * (1.0 - f ** (n_parties - 2)) / (4.0 * SQRT2)
 
@@ -380,10 +380,8 @@ def asymptotic_rate_cka(n_parties: int, qber: float) -> float:
     the certified violation falls to the classical value or below, the
     entropy term clamps and the rate is -h(Q).
     """
-    if n_parties < 2:
-        raise DomainError(f"need at least 2 parties, got {n_parties}")
-    if not 0.0 <= qber < 0.5:
-        raise DomainError(f"qber must lie in [0, 1/2), got {qber!r}")
+    _check_parties(n_parties)
+    _check_qber(qber)
     w = 1.0 - 2.0 * qber
     f = math.sqrt(w)
     a = f**n_parties / (2.0 * SQRT2) + w * (1.0 - f ** (n_parties - 2)) / (8.0 * SQRT2)
@@ -396,9 +394,7 @@ def asymptotic_rate_diqkd(n_parties: int, qber: float) -> float:
     (1 - h(1/2 + 1/2 sqrt(2 (1-2Q)^2 - 1)) - h(Q)) / (N - 1), with the same
     sub-classical clamp; N = 2 degenerates to a single pairwise link.
     """
-    if n_parties < 2:
-        raise DomainError(f"need at least 2 parties, got {n_parties}")
-    if not 0.0 <= qber < 0.5:
-        raise DomainError(f"qber must lie in [0, 1/2), got {qber!r}")
+    _check_parties(n_parties)
+    _check_qber(qber)
     w = 1.0 - 2.0 * qber
     return (1.0 - _clamped_entropy(2.0 * w * w - 1.0) - binary_entropy(qber)) / (n_parties - 1)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dicka import LengthMismatchError, ToeplitzSeed, bits_to_hex, hex_to_bits, toeplitz_hash, verify_hash
-from dicka.hashing import random_seed
+from dicka.hashing import as_bits, random_seed
 
 
 def _oracle_matrix(in_len, out_len, diagonal):
@@ -164,6 +164,39 @@ def test_outside_seed_is_checked_and_drawn_seed_matches_it():
         assert (drawn.in_len, drawn.out_len) == (checked.in_len, checked.out_len)
         assert drawn.diagonal_bits.dtype == checked.diagonal_bits.dtype == np.uint8
         assert np.array_equal(drawn.diagonal_bits, checked.diagonal_bits)
+
+
+def test_as_bits_checks_values_before_the_cast():
+    # a cast to uint8 first would truncate 0.5 and 1.7, wrap 256 and -255 and
+    # overflow on -1; each of these must be refused as not bits
+    seed = ToeplitzSeed(2, 1, "10")
+    for bad in (
+        [0.5, 1.7],
+        np.array([256, 1], dtype=np.int64),
+        [-255, 0],
+        [1, -1],
+        [2, 0],
+        np.array([0.0, 1.0]),
+        np.array([1, 0], dtype=object),
+        ["1", "0"],
+        [[0, 1]],
+        1,
+    ):
+        for call in (as_bits, bits_to_hex, lambda bits: toeplitz_hash(seed, bits)):
+            with pytest.raises(ValueError) as excinfo:
+                call(bad)
+            assert excinfo.type is ValueError  # the bit check, not a length mismatch
+    with pytest.raises(ValueError):
+        ToeplitzSeed(2, 1, [1, 256])
+    # bool and every integer dtype holding 0/1 are bits
+    for good in ([1, 0], [True, False], np.array([1, 0], dtype=np.int8), np.array([1, 0], dtype=np.uint64)):
+        bits = as_bits(good)
+        assert bits.dtype == np.uint8
+        assert bits.tolist() == [1, 0]
+    assert as_bits([]).dtype == np.uint8 and as_bits([]).size == 0
+    # uint8 bits pass through without a copy
+    u8 = np.array([0, 1, 1], dtype=np.uint8)
+    assert as_bits(u8) is u8
 
 
 def test_two_universality_statistics():

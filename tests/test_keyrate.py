@@ -16,6 +16,7 @@ from dicka import (
     DomainError,
     EpsilonBudget,
     NoiseModel,
+    ProtocolConfig,
     RateParams,
     TSIRELSON_BOUND,
     asymptotic_rate_cka,
@@ -77,6 +78,65 @@ def _mp_vtilde(p_opt, mu, eps, eps_ea, variant):
     return 2 * (mp.log(13, 2) + term) * mp.sqrt(1 - 2 * mp.log(eps * eps_ea, 2)) + 2 * mp.log(
         7, 2
     ) * mp.sqrt(-mp.log(eps_ea**2 * eta, 2))
+
+
+# --- search oracle for the tangent point ------------------------------------
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _maximize_scalar(fn, lo: float, hi: float, grid_points: int, tol: float) -> float:
+    """Global grid scan over the open interval, then golden-section refinement."""
+    best_i, best_v = 0, -math.inf
+    step = (hi - lo) / (grid_points + 1)
+    for i in range(1, grid_points + 1):
+        v = fn(lo + i * step)
+        if v > best_v:
+            best_i, best_v = i, v
+    # the bracket may reach the open ends: golden section never evaluates them
+    a = lo + (best_i - 1) * step
+    b = lo + (best_i + 1) * step
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = fn(d)
+    return (a + b) / 2.0
+
+
+def _objective(params, p_opt):
+    """Entropy term less second order at tangent point p_opt, as finite_key_length sums them."""
+    n, mu, eps = params.n_rounds, params.mu, params.eps
+    entropy = n * (tangent_f(mu * params.delta, p_opt, mu) - mu)
+    return entropy - v_tilde(p_opt, mu, eps.smooth, eps.ea, params.variant) * math.sqrt(n)
+
+
+def _oracle_delta(params):
+    """delta_opt by the 2000-point grid and golden-section search finite_key_length once ran."""
+    return _maximize_scalar(
+        lambda d: _objective(params, params.mu * d), CLASSICAL_BOUND, TSIRELSON_BOUND, 2000, 1e-10
+    )
+
+
+def _random_params(rng, variant):
+    n_rounds = 0 if rng.random() < 0.03 else int(10 ** rng.uniform(2, 12))
+    eps = _budget(smooth=10 ** rng.uniform(-15, -2), ea=10 ** rng.uniform(-15, -2))
+    return RateParams(
+        n_parties=int(rng.integers(2, 9)),
+        mu=10 ** rng.uniform(-3, 0),
+        delta=rng.uniform(0.7501, TSIRELSON_BOUND - 1e-4),
+        qber=rng.uniform(0.0, 0.05),
+        n_rounds=n_rounds,
+        eps=eps,
+        variant=variant,
+    )
 
 
 def test_binary_entropy_endpoints_and_half():
@@ -171,6 +231,14 @@ def test_v_tilde_positive_and_monotone_in_ea():
         previous = value
 
 
+def test_v_tilde_rejects_eps_below_floor():
+    # the same [1e-150, 1) domain as EpsilonBudget: below it the logarithms fail
+    for eps_smooth, eps_ea in ((1e-200, 1e-8), (1e-8, 1e-200), (9.9e-151, 1e-8), (1e-8, 1.0), (0.0, 1e-8)):
+        with pytest.raises(DomainError):
+            v_tilde(0.04, 0.05, eps_smooth, eps_ea)
+    assert math.isfinite(v_tilde(0.04, 0.05, 1e-150, 1e-150))
+
+
 def test_v_tilde_high_precision_values():
     oracle_main = float(_mp_vtilde(mp.mpf("0.04"), mp.mpf("0.05"), mp.mpf("1e-6"), mp.mpf("1e-6"), "main"))
     oracle_app = float(_mp_vtilde(mp.mpf("0.04"), mp.mpf("0.05"), mp.mpf("1e-6"), mp.mpf("1e-6"), "appendix"))
@@ -233,8 +301,8 @@ def test_finite_key_breakdown_identity():
 
 
 def test_finite_key_optimum_reaches_the_classical_end():
-    # here the objective rises toward delta_opt = 3/4; the search must get
-    # closer to that open end than half a grid step
+    # here the objective rises toward delta_opt = 3/4, so the tangent point
+    # clamps to that open end
     params = _params(n_rounds=10**8, mu=0.02, delta=0.84, qber=0.01)
     bd = finite_key_length(params)
 
@@ -244,6 +312,55 @@ def test_finite_key_optimum_reaches_the_classical_end():
 
     assert bd.entropy_term - bd.second_order == objective(bd.p_opt_chosen)
     assert objective(bd.p_opt_chosen) >= objective(params.mu * (CLASSICAL_BOUND + 1e-7))
+
+
+def test_closed_form_tangent_point_matches_search_oracle():
+    rng = np.random.default_rng(2024)
+    interior = clamped = zero_rounds = near_integer = 0
+    for i in range(320):
+        params = _random_params(rng, ("main", "appendix")[i % 2])
+        mu = params.mu
+        bd = finite_key_length(params)
+        assert mu * CLASSICAL_BOUND < bd.p_opt_chosen < mu * TSIRELSON_BOUND
+        delta_opt = bd.p_opt_chosen / mu
+        oracle_delta = _oracle_delta(params)
+        value = _objective(params, bd.p_opt_chosen)
+        oracle_value = _objective(params, mu * oracle_delta)
+        assert value == bd.entropy_term - bd.second_order
+        tol = 1e-9 * max(1.0, abs(oracle_value))
+        assert value >= oracle_value - tol, (params, delta_opt, oracle_delta)
+        if delta_opt > CLASSICAL_BOUND + 1e-10:
+            interior += 1
+            assert abs(delta_opt - oracle_delta) <= 1e-7, (params, delta_opt, oracle_delta)
+        else:
+            clamped += 1
+        zero_rounds += params.n_rounds == 0
+        oracle_raw = bd.raw_length - value + oracle_value
+        if bd.key_length != max(0, math.floor(oracle_raw)):
+            # only an integer between the two raw lengths can split them
+            near_integer += 1
+            assert abs(bd.raw_length - round(bd.raw_length)) <= tol, (params, bd.raw_length, oracle_raw)
+    assert interior >= 50 and clamped >= 50 and zero_rounds >= 3
+    assert near_integer <= 3
+
+
+def test_objective_slope_changes_sign_at_interior_optimum():
+    cases = [
+        _params(n_rounds=10**10, mu=0.1, delta=0.82, qber=0.01),
+        _params(n_rounds=10**12, mu=0.05, delta=0.84, eps=_budget(smooth=1e-12, ea=1e-4)),
+        _params(n_rounds=10**8, mu=0.5, delta=0.8),
+    ]
+    for base in cases:
+        for variant in ("main", "appendix"):
+            params = RateParams(**{**vars(base), "variant": variant})
+            p_star = finite_key_length(params).p_opt_chosen
+            h = 1e-3 * (p_star - params.mu * CLASSICAL_BOUND)
+            assert h > 1e-9 * params.mu  # an interior optimum, not the clamped end
+
+            def slope(p, e=h / 4):
+                return (_objective(params, p + e) - _objective(params, p - e)) / (2 * e)
+
+            assert slope(p_star - h) > 0 > slope(p_star + h), (params, p_star)
 
 
 def test_finite_key_convergence_toward_asymptotic_rate():
@@ -387,3 +504,37 @@ def test_budget_validation():
         _params(qber=0.5)
     with pytest.raises(DomainError):
         _params(variant="footnote")
+
+
+def test_n_rounds_must_be_an_integer():
+    for bad in (10.5, 1e6, -1, "1000"):
+        with pytest.raises(DomainError):
+            _params(n_rounds=bad)
+    with pytest.raises(DomainError):
+        ProtocolConfig(n_parties=3, n_rounds=10.5, mu=0.1, delta=0.78, qber=0.0, eps=_budget(), rng_seed=1)
+    assert _params(n_rounds=np.int64(1000)).n_rounds == 1000
+
+
+# one call per entry point that checks the parameter; all share one check each
+_OUT_OF_DOMAIN = {
+    "n_parties-RateParams": lambda: _params(n_parties=1),
+    "n_parties-pexp_formula": lambda: pexp_formula(1, 0.01),
+    "n_parties-asymptotic_rate_cka": lambda: asymptotic_rate_cka(1, 0.01),
+    "n_parties-asymptotic_rate_diqkd": lambda: asymptotic_rate_diqkd(1, 0.01),
+    "qber-RateParams": lambda: _params(qber=0.5),
+    "qber-qber_to_pdep": lambda: qber_to_pdep(-0.01),
+    "qber-asymptotic_rate_cka": lambda: asymptotic_rate_cka(3, 0.5),
+    "qber-asymptotic_rate_diqkd": lambda: asymptotic_rate_diqkd(3, -0.01),
+    "mu-RateParams": lambda: _params(mu=0.0),
+    "mu-min_tradeoff_fhat": lambda: min_tradeoff_fhat(0.8, 1.5),
+    "mu-min_tradeoff_slope": lambda: min_tradeoff_slope(1.0, 1.2),
+    "mu-v_tilde": lambda: v_tilde(1.0, 1.2, 1e-8, 1e-8),
+    "variant-RateParams": lambda: _params(variant="footnote"),
+    "variant-v_tilde": lambda: v_tilde(0.04, 0.05, 1e-8, 1e-8, "footnote"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OUT_OF_DOMAIN))
+def test_each_domain_check_is_shared(name):
+    with pytest.raises(DomainError):
+        _OUT_OF_DOMAIN[name]()
