@@ -97,11 +97,11 @@ RATES_CONFIG = "n_list = 2,3,4,5,7,10\nq_min = 0\nq_max = 0.1\nq_step = 0.001\n"
 CLI_CASES = {
     "keylen_main": (
         "keylen", KEYLEN_CONFIG, [],
-        "cc9589a7d541acaa69728deaa97a162ecd3a7b0ba94cf47d35196035c02a64ca",
+        "a2ca512b4b9329a5f65a639058089c97b086e854ad636f4afa9da289a3bc02f1",
     ),
     "keylen_appendix": (
         "keylen", KEYLEN_CONFIG, ["--paper-variant", "appendix"],
-        "5cdab0f2ad3e8c65608afb375f642295920c4b4ea53922510f09c7356768a8bf",
+        "be66cccf55a1dc1a4cde7d01c6349ddfe3f0617446e33c961017eec87a4b7652",
     ),
     "rates": (
         "rates", RATES_CONFIG, [],
