@@ -38,7 +38,7 @@ def as_bits(bits: BitsLike) -> np.ndarray:
         return np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
     arr = np.asarray(bits)
     kind = arr.dtype.kind
-    if arr.ndim != 1 or arr.size and (kind not in "biu" or arr.max() > 1 or kind == "i" and arr.min() < 0):
+    if arr.ndim != 1 or arr.size and (kind not in "biu" or arr.max() > 1 or (kind == "i" and arr.min() < 0)):
         raise ValueError("bits must be a one-dimensional bool or integer array of 0/1")
     return arr.astype(np.uint8, copy=False)
 

@@ -54,7 +54,9 @@ _LOG2_7 = math.log2(7.0)
 # and 8/eps^2 overflows, so the key-length terms stop being finite.
 _EPS_FLOOR = 1e-150
 
-# delta_opt - 3/4 when the tangent point clamps to the open classical end
+# delta_opt - 3/4 when the tangent point clamps to the open classical end.  The
+# objective falls away from that end, so this gap scores no lower than the
+# 4.50066e-11 at which the grid-plus-golden-section search used to stop.
 _END_GAP = 4.5e-11
 
 
@@ -286,7 +288,7 @@ def leak_ec_bounds(params: RateParams) -> tuple[float, float]:
 
 
 def _tangent_delta(params: RateParams) -> float:
-    """delta_opt = p*/mu, p* = q1 - K/sqrt(n) clamped to the classical end (module docstring)."""
+    """delta_opt = delta - K / (mu sqrt(n)), clamped to the classical end (module docstring)."""
     end = CLASSICAL_BOUND + _END_GAP
     if params.n_rounds == 0:
         return end

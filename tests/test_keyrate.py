@@ -119,7 +119,7 @@ def _objective(params, p_opt):
 
 
 def _oracle_delta(params):
-    """delta_opt by the 2000-point grid and golden-section search finite_key_length once ran."""
+    """delta_opt by a 2000-point grid scan refined by golden section to 1e-10 width."""
     return _maximize_scalar(
         lambda d: _objective(params, params.mu * d), CLASSICAL_BOUND, TSIRELSON_BOUND, 2000, 1e-10
     )
@@ -305,13 +305,8 @@ def test_finite_key_optimum_reaches_the_classical_end():
     # clamps to that open end
     params = _params(n_rounds=10**8, mu=0.02, delta=0.84, qber=0.01)
     bd = finite_key_length(params)
-
-    def objective(p_opt):
-        entropy = params.n_rounds * (tangent_f(params.mu * params.delta, p_opt, params.mu) - params.mu)
-        return entropy - v_tilde(p_opt, params.mu, params.eps.smooth, params.eps.ea) * math.sqrt(params.n_rounds)
-
-    assert bd.entropy_term - bd.second_order == objective(bd.p_opt_chosen)
-    assert objective(bd.p_opt_chosen) >= objective(params.mu * (CLASSICAL_BOUND + 1e-7))
+    assert bd.entropy_term - bd.second_order == _objective(params, bd.p_opt_chosen)
+    assert _objective(params, bd.p_opt_chosen) >= _objective(params, params.mu * (CLASSICAL_BOUND + 1e-7))
 
 
 def test_closed_form_tangent_point_matches_search_oracle():
