@@ -48,6 +48,7 @@ from .protocol import (
 )
 from .quantum import (
     MAX_QUBITS,
+    GHZState,
     MixedState,
     NoiseModel,
     Observable,

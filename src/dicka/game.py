@@ -21,7 +21,15 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidInputError, SizeOutOfRangeError
-from .quantum import PAULI_X, PAULI_Z, MixedState, Observable, joint_distribution, outcome_bits
+from .quantum import (
+    PAULI_X,
+    PAULI_Z,
+    GHZState,
+    MixedState,
+    Observable,
+    joint_distribution,
+    outcome_bits,
+)
 
 
 @dataclass(frozen=True)
@@ -119,7 +127,7 @@ def honest_settings(n_parties: int) -> SettingsBundle:
 
 
 def _questions(
-    state: MixedState, settings: SettingsBundle
+    state: MixedState | GHZState, settings: SettingsBundle
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Per (x, y) question: Born-rule outcome distribution, win mask and outcome parity."""
     n = settings.n_parties

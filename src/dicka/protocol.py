@@ -3,10 +3,14 @@
 Per round, a noisy GHZ state is prepared and measured with the honest
 settings: on test rounds (probability mu) Alice and Bob_1 draw uniform
 inputs while the remaining Bobs use input 1; on key rounds everyone
-measures Z.  Classical post-processing then runs reconciliation,
-parameter estimation against the abort threshold, and privacy
-amplification.  All randomness flows from named substreams of a single
-64-bit seed, so a configuration determines its transcript byte for byte.
+measures Z.  A round's outcome is drawn by inverse CDF from its class's
+Born-rule table.  The five tables are built once per (N, qber) from the
+closed-form depolarized GHZ state ``quantum.GHZState``: O(2**N) per table,
+no density matrix (derivation in :mod:`dicka.quantum`).  Classical
+post-processing then runs reconciliation, parameter estimation against the
+abort threshold, and privacy amplification.  All randomness flows from
+named substreams of a single 64-bit seed, so a configuration determines its
+transcript byte for byte.
 
 Reconciliation is ideal-with-verification: each Bob's string is corrected
 to Alice's by an oracle channel and checked against a Toeplitz tag of
@@ -50,7 +54,7 @@ from .errors import DomainError, InvalidInputError, LengthMismatchError
 from .game import honest_settings, parity_chsh_wins_bulk
 from .hashing import ToeplitzSeed, bits_to_hex, random_seed, toeplitz_hash, verify_hash
 from .keyrate import EpsilonBudget, RateParams, finite_key_length, qber_to_pdep
-from .quantum import NoiseModel, depolarize_each, joint_distribution, make_ghz, outcome_bits
+from .quantum import GHZState, NoiseModel, depolarize_each, joint_distribution, outcome_bits
 
 ABORT_EC = "ec_failure"
 ABORT_PE = "parameter_estimation"
@@ -76,8 +80,11 @@ class ProtocolConfig:
         self.rate_params()  # checks n_rounds, mu, delta, qber and variant
         if not 0 <= self.rng_seed < 2**64:
             raise DomainError("rng_seed must be an unsigned 64-bit integer")
-        if self.key_len is not None and self.key_len < 0:
-            raise DomainError("key_len override must be nonnegative")
+        # checked here, not only in amplify, which an aborted run never reaches
+        if self.key_len is not None and not 0 <= self.key_len <= self.n_rounds:
+            raise DomainError(
+                f"key_len override must lie in [0, n_rounds = {self.n_rounds}], got {self.key_len}"
+            )
 
     def rate_params(self) -> RateParams:
         return RateParams(
@@ -249,7 +256,7 @@ def _round_distributions(n_parties: int, qber: float) -> dict[int, np.ndarray]:
     Class 0 is the key round (all Z); classes 1 + 2x + y are the four test
     questions with the remaining Bobs on input 1.
     """
-    state = depolarize_each(make_ghz(n_parties), NoiseModel(qber_to_pdep(qber)))
+    state = depolarize_each(GHZState(n_parties), NoiseModel(qber_to_pdep(qber)))
     settings = honest_settings(n_parties)
     classes = [settings.key] + [settings.question(x, y) for x in (0, 1) for y in (0, 1)]
     return {cid: np.cumsum(joint_distribution(state, obs)) for cid, obs in enumerate(classes)}

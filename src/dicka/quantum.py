@@ -3,6 +3,31 @@
 Builds N-qubit GHZ states, applies per-qubit depolarizing noise and
 evaluates joint measurement-outcome distributions via the Born rule.
 
+State representations
+---------------------
+* ``PureState`` / ``MixedState`` are dense: a 2**N state vector or a
+  2**N x 2**N density matrix, validated on construction (the PSD check is
+  an ``eigvalsh``).  They hold any state and are the reference
+  implementation; ``dicka game`` and the acceptance criteria use them.
+* ``GHZState(n, p)`` is the GHZ state after independent per-qubit
+  depolarizing with probability p, held as the two numbers alone.  The
+  protocol builds its outcome tables from it.
+
+``depolarize_each`` and ``joint_distribution`` accept both kinds.  For the
+closed form, write GHZ = 1/2 sum_{i,j in {0,1}} |i...i><j...j|.  The
+depolarizing channel maps |i><j| to (1 - p)|i><j| + p delta_ij I/2 on each
+qubit, so the noisy state is 1/2 sum_ij (x)_k [(1 - p)|i><j| + p delta_ij I/2]
+and the probability of outcome string b is
+
+    P(b) = 1/2 Re sum_ij prod_k F_k[i, j, b_k],
+    F_k[i, j, b] = (1 - p) conj(u_k[i, b]) u_k[j, b] + p delta_ij / 2,
+
+with u_k the eigenbasis of party k's observable (Tr[|i><j| P_b] =
+<j|P_b|i>).  This holds for any 2x2 observables.  Each of the four (i, j)
+terms is one Kronecker chain over the parties, O(2**N) per table instead
+of the dense O(4**N) state.  Two channels compose: depolarizing with p0
+and then p is depolarizing with 1 - (1 - p0)(1 - p).
+
 Conventions
 -----------
 * Outcome bit 0 corresponds to the +1 eigenvalue of an observable and bit 1
@@ -115,15 +140,31 @@ class NoiseModel:
             raise DomainError(f"p_dep must lie in [0, 1], got {self.p_dep!r}")
 
 
-def make_ghz(n_qubits: int) -> PureState:
-    """GHZ state (|0...0> + |1...1>)/sqrt(2) on 2..12 qubits."""
+def _check_ghz_size(n_qubits: int) -> None:
     if not 2 <= n_qubits <= MAX_QUBITS:
         raise SizeOutOfRangeError(
             f"n_qubits must lie in [2, {MAX_QUBITS}] for exact simulation, got {n_qubits}"
         )
+
+
+def make_ghz(n_qubits: int) -> PureState:
+    """GHZ state (|0...0> + |1...1>)/sqrt(2) on 2..12 qubits."""
+    _check_ghz_size(n_qubits)
     amp = np.zeros(2**n_qubits, dtype=complex)
     amp[0] = amp[-1] = 1.0 / np.sqrt(2.0)
     return PureState(n_qubits, amp)
+
+
+@dataclass(frozen=True)
+class GHZState:
+    """GHZ state on 2..12 qubits after per-qubit depolarizing with probability ``p_dep``."""
+
+    n_qubits: int
+    p_dep: float = 0.0
+
+    def __post_init__(self) -> None:
+        _check_ghz_size(self.n_qubits)
+        NoiseModel(self.p_dep)  # the same [0, 1] check and error
 
 
 def _depolarize_qubit(rho: np.ndarray, n_qubits: int, qubit: int, p: float) -> np.ndarray:
@@ -138,8 +179,17 @@ def _depolarize_qubit(rho: np.ndarray, n_qubits: int, qubit: int, p: float) -> n
     return out.reshape(2**n_qubits, 2**n_qubits)
 
 
-def depolarize_each(state: Union[PureState, MixedState], noise: NoiseModel) -> MixedState:
-    """Apply the depolarizing channel independently to every qubit."""
+def depolarize_each(
+    state: Union[PureState, MixedState, GHZState], noise: NoiseModel
+) -> Union[MixedState, GHZState]:
+    """Apply the depolarizing channel independently to every qubit.
+
+    A ``GHZState`` stays in closed form: the two channels compose into one
+    with probability 1 - (1 - p0)(1 - p), written p0 + (1 - p0) p so that
+    p0 = 0 or p = 0 returns the other probability exactly.
+    """
+    if isinstance(state, GHZState):
+        return GHZState(state.n_qubits, state.p_dep + (1.0 - state.p_dep) * noise.p_dep)
     if isinstance(state, PureState):
         rho = np.outer(state.amplitudes, state.amplitudes.conj())
     else:
@@ -149,7 +199,9 @@ def depolarize_each(state: Union[PureState, MixedState], noise: NoiseModel) -> M
     return MixedState(state.n_qubits, rho)
 
 
-def joint_distribution(state: MixedState, settings: Sequence[Observable]) -> np.ndarray:
+def joint_distribution(
+    state: Union[MixedState, GHZState], settings: Sequence[Observable]
+) -> np.ndarray:
     """Born-rule outcome distribution for one observable per qubit.
 
     Entry b is Tr[rho (x)_k P_{b_k}] with P the eigenprojectors of party k's
@@ -158,12 +210,30 @@ def joint_distribution(state: MixedState, settings: Sequence[Observable]) -> np.
     n = state.n_qubits
     if len(settings) != n:
         raise DimensionMismatchError(f"need {n} observables, got {len(settings)}")
+    if isinstance(state, GHZState):
+        return _ghz_distribution(state.p_dep, settings)
     t = state.matrix.reshape((2,) * (2 * n))
     for q, obs in enumerate(settings):
         u = obs.eigenbasis()
         t = np.moveaxis(np.tensordot(u.conj().T, t, axes=(1, q)), 0, q)
         t = np.moveaxis(np.tensordot(t, u, axes=(n + q, 0)), -1, n + q)
     probs = np.diagonal(t.reshape(2**n, 2**n)).real.copy()
+    np.clip(probs, 0.0, None, out=probs)
+    return probs
+
+
+def _ghz_distribution(p: float, settings: Sequence[Observable]) -> np.ndarray:
+    """P(b) = 1/2 Re sum_ij prod_k F_k[i, j, b_k] (module docstring), party 0 first."""
+    bases = [obs.eigenbasis() for obs in settings]
+    probs = np.zeros(2 ** len(settings))
+    for i in (0, 1):
+        for j in (0, 1):
+            term = np.ones(1, dtype=complex)
+            for u in bases:
+                f = (1.0 - p) * u[i].conj() * u[j] + (p / 2.0 if i == j else 0.0)
+                term = np.multiply.outer(term, f).ravel()  # kron(term, f), without its overhead
+            probs += term.real
+    probs *= 0.5
     np.clip(probs, 0.0, None, out=probs)
     return probs
 

@@ -9,6 +9,7 @@ import pytest
 from dicka import (
     DomainError,
     EpsilonBudget,
+    GHZState,
     InvalidInputError,
     LengthMismatchError,
     NoiseModel,
@@ -21,7 +22,6 @@ from dicka import (
     finite_key_length,
     honest_settings,
     joint_distribution,
-    make_ghz,
     pexp_formula,
     qber_to_pdep,
     read_summary,
@@ -87,6 +87,14 @@ def test_honest_run_with_key_override():
 def test_config_validation(overrides):
     with pytest.raises(DomainError):
         _config(**overrides)
+
+
+@pytest.mark.parametrize("delta", [0.78, 0.85])
+def test_key_len_above_round_count_rejected_at_construction(delta):
+    # at this seed the run would fail in amplify for delta 0.78 but abort
+    # quietly in parameter estimation for 0.85; both configs are invalid
+    with pytest.raises(DomainError):
+        _config(n_rounds=100, mu=0.5, qber=0.02, delta=delta, rng_seed=1, key_len=200)
 
 
 def test_threshold_above_honest_expectation_aborts():
@@ -252,10 +260,11 @@ def test_win_rate_tracks_quantum_value():
 
 
 def test_round_distributions_are_the_game_tables():
-    # sampling draws from exactly the distributions the game scores
+    # sampling draws from exactly the distributions the game scores; the
+    # closed-form state's agreement with the dense layer is tested in test_quantum
     for n in range(3, 7):
         for qber in (0.0, 0.013):
-            state = depolarize_each(make_ghz(n), NoiseModel(qber_to_pdep(qber)))
+            state = depolarize_each(GHZState(n), NoiseModel(qber_to_pdep(qber)))
             settings = honest_settings(n)
             dists = [joint_distribution(state, settings.key)]
             dists += [dist for dist, _, _ in _questions(state, settings)]
@@ -263,6 +272,35 @@ def test_round_distributions_are_the_game_tables():
             assert list(tables) == [0, 1, 2, 3, 4]
             for cid, dist in enumerate(dists):
                 assert np.array_equal(tables[cid], np.cumsum(dist))
+
+
+def test_round_distributions_pass_the_quantum_seams(monkeypatch):
+    # perfbench's traced mode times the outcome tables by wrapping exactly
+    # these two module attributes; the tables must keep going through them
+    import dicka.protocol as protocol
+
+    calls = {"depolarize_each": [], "joint_distribution": []}
+
+    def counting(name):
+        original = getattr(protocol, name)
+
+        def wrapper(state, *args):
+            calls[name].append(state)
+            return original(state, *args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(protocol, name, counting(name))
+    _round_distributions.cache_clear()
+    try:
+        _round_distributions(9, 0.01)
+    finally:
+        _round_distributions.cache_clear()
+    assert len(calls["depolarize_each"]) == 1
+    assert len(calls["joint_distribution"]) == 5
+    assert isinstance(calls["depolarize_each"][0], GHZState)
+    assert all(isinstance(state, GHZState) for state in calls["joint_distribution"])
 
 
 def test_transcript_determinism():

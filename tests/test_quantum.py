@@ -9,6 +9,7 @@ import pytest
 from dicka import (
     DimensionMismatchError,
     DomainError,
+    GHZState,
     MixedState,
     NoiseModel,
     Observable,
@@ -194,3 +195,57 @@ def test_mixed_state_validation():
     bad = np.eye(4) / 4 + 0.1j * np.eye(4)
     with pytest.raises(DomainError):
         MixedState(2, bad)
+
+
+# --- closed-form depolarized GHZ against the dense layer -------------------
+
+def _random_observables(rng, n):
+    """n random involutions n.sigma, with Y components, as a settings list."""
+    axes = rng.normal(size=(n, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    return [Observable("r", ax * PAULI_X + ay * PAULI_Y + az * PAULI_Z) for ax, ay, az in axes]
+
+
+def _closed_form_classes(n, rng):
+    s = honest_settings(n)
+    honest = [s.key] + [s.question(x, y) for x in (0, 1) for y in (0, 1)]
+    return honest + [_random_observables(rng, n)]
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_ghz_state_matches_dense_distributions(n):
+    rng = np.random.default_rng(1000 + n)
+    for p in (0.0, 0.013, 0.2, 1.0):
+        dense = depolarize_each(make_ghz(n), NoiseModel(p))
+        closed = GHZState(n, p)
+        for settings in _closed_form_classes(n, rng):
+            want = joint_distribution(dense, settings)
+            got = joint_distribution(closed, settings)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12
+            assert np.max(np.abs(np.cumsum(got) - np.cumsum(want))) <= 1e-12
+
+
+def test_ghz_state_depolarizes_like_dense():
+    rng = np.random.default_rng(7)
+    for n in (2, 3, 5):
+        for p0, p1 in ((0.0, 0.013), (0.013, 0.2), (0.2, 1.0), (0.37, 0.0)):
+            closed = depolarize_each(depolarize_each(GHZState(n), NoiseModel(p0)), NoiseModel(p1))
+            assert isinstance(closed, GHZState)
+            assert abs(closed.p_dep - (1 - (1 - p0) * (1 - p1))) < 1e-15
+            dense = depolarize_each(depolarize_each(make_ghz(n), NoiseModel(p0)), NoiseModel(p1))
+            for settings in _closed_form_classes(n, rng):
+                got = joint_distribution(closed, settings)
+                want = joint_distribution(dense, settings)
+                assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_ghz_state_validation():
+    for n in (1, 13):
+        with pytest.raises(SizeOutOfRangeError):
+            GHZState(n)
+    for p in (-0.01, 1.01):
+        with pytest.raises(DomainError):
+            GHZState(3, p)
+    with pytest.raises(DimensionMismatchError):
+        joint_distribution(GHZState(3), [Observable("Z", PAULI_Z)] * 2)
