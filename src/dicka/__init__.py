@@ -49,13 +49,10 @@ from .protocol import (
 from .quantum import (
     MAX_QUBITS,
     GHZState,
-    MixedState,
     NoiseModel,
     Observable,
-    PureState,
     depolarize_each,
     joint_distribution,
-    make_ghz,
 )
 
 __version__ = "0.1.0"

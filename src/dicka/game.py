@@ -8,7 +8,8 @@ Bobs the parity is empty (0) and the game is exactly CHSH.
 This module evaluates the predicate, computes the exact classical value by
 exhaustive enumeration of deterministic strategies, holds the honest
 observables of every round class (``honest_settings``), and computes the
-quantum winning probability of any simulated state under a settings bundle.
+quantum winning probability of a depolarized GHZ state (``GHZState``) under
+a settings bundle.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .quantum import (
     PAULI_X,
     PAULI_Z,
     GHZState,
-    MixedState,
     Observable,
     joint_distribution,
     outcome_bits,
@@ -127,7 +127,7 @@ def honest_settings(n_parties: int) -> SettingsBundle:
 
 
 def _questions(
-    state: MixedState | GHZState, settings: SettingsBundle
+    state: GHZState, settings: SettingsBundle
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Per (x, y) question: Born-rule outcome distribution, win mask and outcome parity."""
     n = settings.n_parties
@@ -143,7 +143,7 @@ def _questions(
             yield dist, parity_chsh_wins_bulk(x, y, a, b1, parity), parity
 
 
-def quantum_win_probability(state: MixedState, settings: SettingsBundle) -> float:
+def quantum_win_probability(state: GHZState, settings: SettingsBundle) -> float:
     """Winning probability under uniform (x, y), evaluated by the Born rule."""
     total = 0.0
     for dist, wins, _ in _questions(state, settings):
@@ -152,7 +152,7 @@ def quantum_win_probability(state: MixedState, settings: SettingsBundle) -> floa
 
 
 def conditioned_win_probabilities(
-    state: MixedState, settings: SettingsBundle
+    state: GHZState, settings: SettingsBundle
 ) -> dict[int, tuple[float, float]]:
     """Map parity value -> (probability of that parity, conditional win probability).
 

@@ -50,11 +50,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError, LengthMismatchError
+from .errors import DomainError, InvalidInputError, LengthMismatchError, SizeOutOfRangeError
 from .game import honest_settings, parity_chsh_wins_bulk
 from .hashing import ToeplitzSeed, bits_to_hex, random_seed, toeplitz_hash, verify_hash
 from .keyrate import EpsilonBudget, RateParams, finite_key_length, qber_to_pdep
-from .quantum import GHZState, NoiseModel, depolarize_each, joint_distribution, outcome_bits
+from .quantum import MAX_QUBITS, GHZState, NoiseModel, depolarize_each, joint_distribution, outcome_bits
 
 ABORT_EC = "ec_failure"
 ABORT_PE = "parameter_estimation"
@@ -77,6 +77,11 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if self.n_parties < 3:
             raise DomainError(f"protocol needs at least 3 parties, got {self.n_parties}")
+        # checked here, before the n-length draws, not only by the outcome tables
+        if self.n_parties > MAX_QUBITS:
+            raise SizeOutOfRangeError(
+                f"n_parties must be at most {MAX_QUBITS} for exact simulation, got {self.n_parties}"
+            )
         self.rate_params()  # checks n_rounds, mu, delta, qber and variant
         if not 0 <= self.rng_seed < 2**64:
             raise DomainError("rng_seed must be an unsigned 64-bit integer")

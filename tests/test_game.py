@@ -8,6 +8,7 @@ import pytest
 
 from dicka import (
     GameRound,
+    GHZState,
     NoiseModel,
     SizeOutOfRangeError,
     classical_value,
@@ -15,7 +16,6 @@ from dicka import (
     depolarize_each,
     honest_settings,
     joint_distribution,
-    make_ghz,
     parity_chsh_wins,
     pexp_formula,
     qber_to_pdep,
@@ -26,7 +26,7 @@ TSIRELSON = 0.5 + 0.5 / math.sqrt(2.0)
 
 
 def _honest_state(n, qber=0.0):
-    return depolarize_each(make_ghz(n), NoiseModel(qber_to_pdep(qber)))
+    return depolarize_each(GHZState(n), NoiseModel(qber_to_pdep(qber)))
 
 
 def test_predicate_examples():
@@ -78,7 +78,7 @@ def test_quantum_value_noiseless():
 
 def test_quantum_value_fully_depolarized():
     for n in (2, 3, 4):
-        state = depolarize_each(make_ghz(n), NoiseModel(1.0))
+        state = depolarize_each(GHZState(n), NoiseModel(1.0))
         p = quantum_win_probability(state, honest_settings(n))
         assert abs(p - 0.5) < 1e-9
 
@@ -140,7 +140,7 @@ def test_monotone_degradation_in_noise():
         settings = honest_settings(n)
         previous = 1.0
         for p_dep in np.linspace(0.0, 1.0, 50):
-            state = depolarize_each(make_ghz(n), NoiseModel(float(p_dep)))
+            state = depolarize_each(GHZState(n), NoiseModel(float(p_dep)))
             value = quantum_win_probability(state, settings)
             assert value <= previous + 1e-12
             previous = value

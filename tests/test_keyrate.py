@@ -15,6 +15,7 @@ from dicka import (
     CLASSICAL_BOUND,
     DomainError,
     EpsilonBudget,
+    GHZState,
     NoiseModel,
     ProtocolConfig,
     RateParams,
@@ -27,7 +28,6 @@ from dicka import (
     finite_key_length,
     honest_settings,
     leak_ec_bounds,
-    make_ghz,
     min_tradeoff_fhat,
     min_tradeoff_slope,
     pdep_to_qber,
@@ -430,7 +430,7 @@ def test_pexp_matches_exact_simulation():
     for n in (2, 3, 4, 5, 6):
         settings = honest_settings(n)
         for qber in (0.0, 0.01, 0.03, 0.05):
-            state = depolarize_each(make_ghz(n), NoiseModel(qber_to_pdep(qber)))
+            state = depolarize_each(GHZState(n), NoiseModel(qber_to_pdep(qber)))
             sim = quantum_win_probability(state, settings)
             assert abs(sim - pexp_formula(n, qber)) < 1e-9
 

@@ -12,8 +12,10 @@ from dicka import (
     GHZState,
     InvalidInputError,
     LengthMismatchError,
+    MAX_QUBITS,
     NoiseModel,
     ProtocolConfig,
+    SizeOutOfRangeError,
     Transcript,
     amplify,
     completeness_bound,
@@ -95,6 +97,14 @@ def test_key_len_above_round_count_rejected_at_construction(delta):
     # quietly in parameter estimation for 0.85; both configs are invalid
     with pytest.raises(DomainError):
         _config(n_rounds=100, mu=0.5, qber=0.02, delta=delta, rng_seed=1, key_len=200)
+
+
+def test_party_count_above_qubit_cap_rejected_at_construction():
+    # only constructed, never run: a run would draw its n-length round
+    # inputs before the outcome tables refuse the size
+    with pytest.raises(SizeOutOfRangeError):
+        _config(n_parties=MAX_QUBITS + 1, n_rounds=10**9)
+    assert _config(n_parties=MAX_QUBITS, n_rounds=10**9).n_parties == MAX_QUBITS
 
 
 def test_threshold_above_honest_expectation_aborts():

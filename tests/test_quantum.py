@@ -10,15 +10,12 @@ from dicka import (
     DimensionMismatchError,
     DomainError,
     GHZState,
-    MixedState,
     NoiseModel,
     Observable,
-    PureState,
     SizeOutOfRangeError,
     depolarize_each,
     honest_settings,
     joint_distribution,
-    make_ghz,
 )
 from dicka.quantum import PAULI_I, PAULI_X, PAULI_Z, outcome_bits
 
@@ -26,7 +23,46 @@ SQRT2 = math.sqrt(2.0)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 
 
-# --- independent oracle: depolarizing via the Pauli-Kraus sum -------------
+# --- independent oracles: the dense 2**N x 2**N density matrix -------------
+
+def _make_ghz(n_qubits):
+    """GHZ amplitudes (|0...0> + |1...1>)/sqrt2."""
+    amp = np.zeros(2**n_qubits, dtype=complex)
+    amp[0] = amp[-1] = 1 / SQRT2
+    return amp
+
+
+def _depolarize(rho, n_qubits, p):
+    """rho -> (1 - p) rho + p (I/2 (x) tr_q rho) on every qubit q, by reshaping."""
+    for q in range(n_qubits):
+        da, db = 2**q, 2 ** (n_qubits - q - 1)
+        t = rho.reshape(da, 2, db, da, 2, db)
+        partial = t[:, 0, :, :, 0, :] + t[:, 1, :, :, 1, :]
+        out = (1.0 - p) * t
+        out[:, 0, :, :, 0, :] += (p / 2.0) * partial
+        out[:, 1, :, :, 1, :] += (p / 2.0) * partial
+        rho = out.reshape(rho.shape)
+    return rho
+
+
+def _dense_ghz(n_qubits, p=0.0):
+    """Density matrix of GHZ_N after per-qubit depolarizing with p."""
+    amp = _make_ghz(n_qubits)
+    return _depolarize(np.outer(amp, amp.conj()), n_qubits, p)
+
+
+def _dense_distribution(rho, settings):
+    """Born-rule table Tr[rho (x)_k P_{b_k}] by tensordot contraction, party 0 first."""
+    n = len(settings)
+    t = rho.reshape((2,) * (2 * n))
+    for q, obs in enumerate(settings):
+        u = obs.eigenbasis()
+        t = np.moveaxis(np.tensordot(u.conj().T, t, axes=(1, q)), 0, q)
+        t = np.moveaxis(np.tensordot(t, u, axes=(n + q, 0)), -1, n + q)
+    probs = np.diagonal(t.reshape(2**n, 2**n)).real.copy()
+    np.clip(probs, 0.0, None, out=probs)
+    return probs
+
 
 def _kraus_depolarize(rho, n_qubits, p):
     """(1 - 3p/4) rho + p/4 (X rho X + Y rho Y + Z rho Z), per qubit."""
@@ -42,54 +78,40 @@ def _kraus_depolarize(rho, n_qubits, p):
 
 
 def test_make_ghz_two_qubits():
-    state = make_ghz(2)
     expected = np.array([1 / SQRT2, 0.0, 0.0, 1 / SQRT2])
-    assert np.allclose(state.amplitudes, expected, atol=1e-15)
+    assert np.allclose(_make_ghz(2), expected, atol=1e-15)
 
 
 def test_make_ghz_three_qubits():
-    state = make_ghz(3)
-    assert abs(state.amplitudes[0] - 1 / SQRT2) < 1e-15
-    assert abs(state.amplitudes[7] - 1 / SQRT2) < 1e-15
-    assert np.all(state.amplitudes[1:7] == 0)
-
-
-def test_make_ghz_size_bounds():
-    with pytest.raises(SizeOutOfRangeError):
-        make_ghz(13)
-    with pytest.raises(SizeOutOfRangeError):
-        make_ghz(1)
-
-
-def test_pure_state_normalisation_enforced():
-    with pytest.raises(DomainError):
-        PureState(1, np.array([1.0, 1.0]))
+    amp = _make_ghz(3)
+    assert abs(amp[0] - 1 / SQRT2) < 1e-15
+    assert abs(amp[7] - 1 / SQRT2) < 1e-15
+    assert np.all(amp[1:7] == 0)
 
 
 def test_depolarize_identity_channel():
-    state = make_ghz(3)
-    rho = depolarize_each(state, NoiseModel(0.0))
-    expected = np.outer(state.amplitudes, state.amplitudes.conj())
-    assert np.max(np.abs(rho.matrix - expected)) < 1e-12
+    amp = _make_ghz(3)
+    assert np.max(np.abs(_dense_ghz(3, 0.0) - np.outer(amp, amp.conj()))) < 1e-12
+    assert depolarize_each(GHZState(3), NoiseModel(0.0)) == GHZState(3, 0.0)
 
 
 def test_depolarize_full_on_single_qubit():
-    plus = PureState(1, np.array([1.0, 1.0]) / SQRT2)
-    rho = depolarize_each(plus, NoiseModel(1.0))
-    assert np.max(np.abs(rho.matrix - PAULI_I / 2)) < 1e-12
+    plus = np.array([1.0, 1.0], dtype=complex) / SQRT2
+    rho = _depolarize(np.outer(plus, plus.conj()), 1, 1.0)
+    assert np.max(np.abs(rho - PAULI_I / 2)) < 1e-12
 
 
 def test_depolarize_matches_kraus_oracle():
     for n in (2, 3, 4):
-        state = make_ghz(n)
+        amp = _make_ghz(n)
         for p in (0.1, 0.37, 0.9):
-            got = depolarize_each(state, NoiseModel(p)).matrix
-            want = _kraus_depolarize(np.outer(state.amplitudes, state.amplitudes.conj()), n, p)
+            got = _dense_ghz(n, p)
+            want = _kraus_depolarize(np.outer(amp, amp.conj()), n, p)
             assert np.max(np.abs(got - want)) < 1e-10
 
 
 def test_depolarized_ghz3_symmetry():
-    rho = depolarize_each(make_ghz(3), NoiseModel(0.1)).matrix
+    rho = _dense_ghz(3, 0.1)
     assert abs(np.trace(rho) - 1.0) < 1e-12
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
     assert np.linalg.eigvalsh(rho)[0] > -1e-10
@@ -98,9 +120,8 @@ def test_depolarized_ghz3_symmetry():
 
 def test_channel_sanity_over_p_grid():
     for n in (2, 3, 4):
-        state = make_ghz(n)
         for p in np.linspace(0.0, 1.0, 11):
-            rho = depolarize_each(state, NoiseModel(float(p))).matrix
+            rho = _dense_ghz(n, float(p))
             assert abs(np.trace(rho).real - 1.0) < 1e-12
             assert np.linalg.eigvalsh(rho)[0] >= -1e-10
 
@@ -146,36 +167,33 @@ def test_outcome_bits_repack_to_index():
 
 def test_joint_distribution_ghz_all_z():
     for n in (2, 3, 5):
-        state = depolarize_each(make_ghz(n), NoiseModel(0.0))
-        dist = joint_distribution(state, honest_settings(n).key)
+        dist = joint_distribution(GHZState(n), honest_settings(n).key)
         assert abs(dist[0] - 0.5) < 1e-12
         assert abs(dist[-1] - 0.5) < 1e-12
         assert np.max(np.abs(dist[1:-1])) < 1e-12
 
 
 def test_joint_distribution_single_qubit():
-    zero = PureState(1, np.array([1.0, 0.0])).density_matrix()
-    dist = joint_distribution(zero, [Observable("Z", PAULI_Z)])
+    zero = np.diag([1.0, 0.0]).astype(complex)
+    dist = _dense_distribution(zero, [Observable("Z", PAULI_Z)])
     assert abs(dist[0] - 1.0) < 1e-12
 
 
 def test_joint_distribution_correlator_oracle():
     # direct 4x4 matrix-trace oracle for <X (x) (Z+X)/sqrt2> on GHZ_2
-    state = depolarize_each(make_ghz(2), NoiseModel(0.0))
     settings = honest_settings(2)
     obs_a = settings.alice[1]
     obs_b = settings.bob1[0]
-    oracle = np.trace(state.matrix @ np.kron(obs_a.matrix, obs_b.matrix)).real
-    dist = joint_distribution(state, [obs_a, obs_b])
+    oracle = np.trace(_dense_ghz(2) @ np.kron(obs_a.matrix, obs_b.matrix)).real
+    dist = joint_distribution(GHZState(2), [obs_a, obs_b])
     signs = np.array([1.0, -1.0, -1.0, 1.0])  # (-1)^(a xor b)
     assert abs(oracle - 1 / SQRT2) < 1e-12
     assert abs(float(signs @ dist) - oracle) < 1e-12
 
 
 def test_joint_distribution_dimension_mismatch():
-    state = depolarize_each(make_ghz(3), NoiseModel(0.0))
     with pytest.raises(DimensionMismatchError):
-        joint_distribution(state, [Observable("Z", PAULI_Z)] * 2)
+        joint_distribution(GHZState(3), [Observable("Z", PAULI_Z)] * 2)
 
 
 def test_born_rule_normalisation_all_setting_combos():
@@ -183,7 +201,7 @@ def test_born_rule_normalisation_all_setting_combos():
     for n in range(2, 7):
         s = honest_settings(n)
         z, x = s.alice
-        state = depolarize_each(make_ghz(n), NoiseModel(0.13))
+        state = depolarize_each(GHZState(n), NoiseModel(0.13))
         for rest in itertools.product((z, x), repeat=n - 2):
             for obs_a in s.alice:
                 for obs_b in (*s.bob1, s.key[1]):
@@ -191,13 +209,7 @@ def test_born_rule_normalisation_all_setting_combos():
                     assert abs(float(dist.sum()) - 1.0) < 1e-10
 
 
-def test_mixed_state_validation():
-    bad = np.eye(4) / 4 + 0.1j * np.eye(4)
-    with pytest.raises(DomainError):
-        MixedState(2, bad)
-
-
-# --- closed-form depolarized GHZ against the dense layer -------------------
+# --- closed-form depolarized GHZ against the dense oracle -------------------
 
 def _random_observables(rng, n):
     """n random involutions n.sigma, with Y components, as a settings list."""
@@ -216,10 +228,10 @@ def _closed_form_classes(n, rng):
 def test_ghz_state_matches_dense_distributions(n):
     rng = np.random.default_rng(1000 + n)
     for p in (0.0, 0.013, 0.2, 1.0):
-        dense = depolarize_each(make_ghz(n), NoiseModel(p))
+        dense = _dense_ghz(n, p)
         closed = GHZState(n, p)
         for settings in _closed_form_classes(n, rng):
-            want = joint_distribution(dense, settings)
+            want = _dense_distribution(dense, settings)
             got = joint_distribution(closed, settings)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12
@@ -233,10 +245,10 @@ def test_ghz_state_depolarizes_like_dense():
             closed = depolarize_each(depolarize_each(GHZState(n), NoiseModel(p0)), NoiseModel(p1))
             assert isinstance(closed, GHZState)
             assert abs(closed.p_dep - (1 - (1 - p0) * (1 - p1))) < 1e-15
-            dense = depolarize_each(depolarize_each(make_ghz(n), NoiseModel(p0)), NoiseModel(p1))
+            dense = _depolarize(_dense_ghz(n, p0), n, p1)
             for settings in _closed_form_classes(n, rng):
                 got = joint_distribution(closed, settings)
-                want = joint_distribution(dense, settings)
+                want = _dense_distribution(dense, settings)
                 assert np.max(np.abs(got - want)) <= 1e-12
 
 
