@@ -74,6 +74,12 @@ CASES = {
         run_protocol, None, 4000,
         "34eb3bab74a419f3863c0a7c621c531b2936726980e75cbf937f748666807525",
     ),
+    # several sampling, serialization and hashing chunks, the last one partial
+    "n3_key128_100007": (
+        _config(n_rounds=100007, mu=0.05, rng_seed=17, key_len=128),
+        run_protocol, None, 128,
+        "c91f73c3aac71a7d16368950410836f37b911d054ddd56c0a4a9d0681a2868ea",
+    ),
 }
 
 
