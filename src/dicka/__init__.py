@@ -16,7 +16,7 @@ from .game import (
     parity_chsh_wins,
     quantum_win_probability,
 )
-from .hashing import ToeplitzSeed, bits_to_hex, hex_to_bits, random_seed, toeplitz_hash, verify_hash
+from .hashing import ToeplitzSeed, bits_to_hex, random_seed, toeplitz_hash, verify_hash
 from .keyrate import (
     CLASSICAL_BOUND,
     EpsilonBudget,

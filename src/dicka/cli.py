@@ -17,6 +17,7 @@ round-trip exactly.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from fractions import Fraction
@@ -33,7 +34,7 @@ from .keyrate import (
     finite_key_length,
     qber_to_pdep,
 )
-from .protocol import ProtocolConfig, run_protocol, summary_json
+from .protocol import ProtocolConfig, run_protocol
 from .quantum import GHZState, NoiseModel, depolarize_each
 
 EXIT_OK = 0
@@ -121,9 +122,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.out is None:
         raise ConfigError("simulate requires --out for the transcript file")
     transcript = run_protocol(config)
-    text = transcript.serialize()
-    _write_output(text, args.out)
-    sys.stdout.write(summary_json(text) + "\n")
+    with open(args.out, "wb") as fh:
+        transcript.serialize(fh)
+    sys.stdout.write(json.dumps(transcript.summary(), sort_keys=True) + "\n")
     return EXIT_ABORT if transcript.abort is not None else EXIT_OK
 
 

@@ -7,11 +7,15 @@ matrix-vector product.
 
 The matrix is never built.  Output bit j is the parity of
 sum_i diagonal_bits[j - i + in_len - 1] * input[i], which is entry j of the
-sliding dot product of the diagonal with the reversed input, so one
-``np.correlate`` in float64 computes every sum in O(in_len + out_len)
-memory.  Each sum, and every partial sum in any order of addition, is an
-integer in [0, in_len]; float64 represents every integer below 2**53
-exactly, so the parities are exact for every length an array can have.
+sliding dot product of the diagonal with the reversed input.  The reversed
+input is taken in blocks of ``_BLOCK`` bits; one float64 ``np.correlate``
+of a block against the matching slice of the diagonal gives that block's
+share of every output sum, and the shares are added up in float64.  Every
+block share, every running total, and every partial sum inside BLAS in any
+order of addition, is an integer in [0, in_len]; float64 represents every
+integer below 2**53 exactly, so the parities are exact for every length an
+array can have.  Memory is O(_BLOCK + out_len) whatever in_len is; time is
+O(in_len * out_len).
 
 Bit strings are numpy uint8 arrays (helpers accept '01' strings too).  Hex
 serialization packs bits little-endian within each byte: bit i of the
@@ -28,6 +32,10 @@ import numpy as np
 from .errors import LengthMismatchError
 
 BitsLike = Union[str, Sequence[int], np.ndarray]
+
+# Input bits per correlate call: 16 * _BLOCK bytes of float64 blocks, so a
+# hash's working memory does not grow with in_len.
+_BLOCK = 2**16
 
 
 def as_bits(bits: BitsLike) -> np.ndarray:
@@ -48,16 +56,6 @@ def bits_to_hex(bits: BitsLike) -> str:
     if arr.size == 0:
         return ""
     return np.packbits(arr, bitorder="little").tobytes().hex()
-
-
-def hex_to_bits(hexstr: str, n_bits: int) -> np.ndarray:
-    if n_bits == 0:
-        return np.zeros(0, dtype=np.uint8)
-    raw = np.frombuffer(bytes.fromhex(hexstr), dtype=np.uint8)
-    bits = np.unpackbits(raw, bitorder="little")
-    if bits.size < n_bits or bits[n_bits:].any():
-        raise LengthMismatchError(f"hex string does not encode {n_bits} bits")
-    return bits[:n_bits].copy()
 
 
 def _check_lengths(in_len: int, out_len: int) -> None:
@@ -104,21 +102,29 @@ def random_seed(in_len: int, out_len: int, rng: np.random.Generator) -> Toeplitz
 def toeplitz_hash(seed: ToeplitzSeed, input: BitsLike) -> np.ndarray:
     """GF(2) product T @ input; output has out_len bits.
 
-    Computed as ``correlate(diagonal, reversed(input), "valid")``, whose
-    entry j is sum_i diagonal_bits[j + in_len - 1 - i] * input[i], the
-    integer row sum of T @ input.  The terms are 0 or 1, so every partial
-    sum is an integer in [0, in_len] and float64 holds it exactly
-    (in_len < 2**53): the result does not depend on the order in which BLAS
-    adds the terms, and its low bit is the GF(2) product.
+    With r the reversed input, entry j of the product's integer row sum is
+    sum_k diagonal_bits[j + k] * r[k].  The k in one block [m0, m1) of r
+    contribute ``correlate(diagonal_bits[m0:m1 + out_len - 1], r[m0:m1],
+    "valid")[j]``, so the blocks' correlations add up to the row sums.  The
+    terms are 0 or 1, so each block's sums, every partial sum inside a
+    correlation and every running total is an integer in [0, in_len], which
+    float64 holds exactly (in_len < 2**53): the result does not depend on
+    the block size or on the order in which BLAS adds the terms, and its low
+    bit is the GF(2) product.
     """
     bits = as_bits(input)
-    if bits.size != seed.in_len:
-        raise LengthMismatchError(f"input has {bits.size} bits, seed expects {seed.in_len}")
-    if seed.out_len == 0:
+    in_len, out_len = seed.in_len, seed.out_len
+    if bits.size != in_len:
+        raise LengthMismatchError(f"input has {bits.size} bits, seed expects {in_len}")
+    if out_len == 0:
         return np.zeros(0, dtype=np.uint8)
-    acc = np.correlate(
-        seed.diagonal_bits.astype(np.float64), bits[::-1].astype(np.float64), "valid"
-    )
+    acc = np.zeros(out_len, dtype=np.float64)
+    for m0 in range(0, in_len, _BLOCK):
+        m1 = min(m0 + _BLOCK, in_len)
+        # r[m0:m1] is input[in_len - m1:in_len - m0] reversed
+        block = bits[in_len - m1:in_len - m0][::-1].astype(np.float64)
+        diag = seed.diagonal_bits[m0:m1 + out_len - 1].astype(np.float64)
+        acc += np.correlate(diag, block, "valid")
     return (acc.astype(np.int64) & 1).astype(np.uint8)
 
 

@@ -20,6 +20,13 @@ test-round outputs are disclosed verbatim, so Alice's guesses for
 parameter estimation are exact.  State preparation depends only on the
 configuration, never on earlier outcomes.
 
+Rounds are sampled and serialized in chunks of ``_CHUNK`` rounds, and
+hashed in blocks (see :mod:`dicka.hashing`), so the int64 and float64
+temporaries of those stages are bounded by the chunk, not by the run.  What
+grows with the round count is the transcript's arrays (N + 4 bytes per
+round), Alice's raw key (one byte per round; the Bobs' oracle keys share
+it) and one-byte test-round masks: about 12 bytes per round at N = 3.
+
 Transcript text format (LF line endings)
 ----------------------------------------
 One line per round::
@@ -27,9 +34,9 @@ One line per round::
     <i> <t> <x> <y1> <a> <bob bits> <c>
 
 with ``c`` printed as ``1`` (win), ``0`` (lose) or ``-`` (untested).  The
-round lines are built as one uint8 byte matrix (see
-:meth:`Transcript.serialize`): ASCII digits, LF line ends, no locale.  Then
-hex blocks (bit strings packed little-endian per byte, see
+round lines are built as uint8 byte matrices of ``_CHUNK`` rounds each (see
+:meth:`Transcript._round_lines`): ASCII digits, LF line ends, no locale.
+Then hex blocks (bit strings packed little-endian per byte, see
 :mod:`dicka.hashing`)::
 
     EC_SEED <in_len> <out_len> <hex>
@@ -42,11 +49,12 @@ and a final JSON summary line ``SUMMARY {...}``.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
+from typing import BinaryIO, Iterator, Optional
 
 import numpy as np
 
@@ -58,6 +66,11 @@ from .quantum import MAX_QUBITS, GHZState, NoiseModel, depolarize_each, joint_di
 
 ABORT_EC = "ec_failure"
 ABORT_PE = "parameter_estimation"
+
+# Rounds per chunk of sampling and serialization: large enough that numpy's
+# per-call overhead is small, small enough that a chunk's temporaries are a
+# few hundred kB whatever the run length.
+_CHUNK = 2**14
 
 
 @dataclass(frozen=True)
@@ -164,8 +177,16 @@ class Transcript:
             "win_rate": self.win_rate,
         }
 
-    def serialize(self) -> str:
-        """The transcript text; the round lines come from :meth:`_round_lines`."""
+    def serialize(self, out: Optional[BinaryIO] = None) -> Optional[str]:
+        """Write the transcript to the binary file ``out``, or return its text.
+
+        The round lines come from :meth:`_round_lines` one chunk at a time,
+        so writing to a file holds no more than one chunk of them.  With no
+        ``out`` the same bytes are gathered and returned as a ``str``.
+        """
+        sink = io.BytesIO() if out is None else out
+        for chunk in self._round_lines():
+            sink.write(chunk)
         lines = []
         if self.ec_seed is not None:
             lines.append(
@@ -181,46 +202,51 @@ class Transcript:
                 f"{bits_to_hex(self.pa_seed.diagonal_bits)}"
             )
         lines.append("SUMMARY " + json.dumps(self.summary(), sort_keys=True))
-        return self._round_lines() + "".join(line + "\n" for line in lines)
+        sink.write("".join(line + "\n" for line in lines).encode("ascii"))
+        return str(sink.getbuffer(), "ascii") if out is None else None
 
-    def _round_lines(self) -> str:
-        """All round lines, each ending in LF, built as uint8 byte matrices.
+    def _round_lines(self) -> Iterator[np.ndarray]:
+        """The round lines, each ending in LF, as flat uint8 byte arrays.
+
+        Each array holds the lines of one chunk of at most ``_CHUNK`` rounds.
 
         Every field after the round index is one ASCII character, so the line
-        tail ``" t x y1 a <bobs> c\\n"`` is a fixed-width row, written column
-        by column.  The decimal index changes width at each power of ten:
-        rounds [10^(d-1), 10^d) form one block of rows d characters wider than
-        the tail, and the blocks lie back to back in one flat buffer.
+        tail ``" t x y1 a <bobs> c\\n"`` of a chunk is a fixed-width row,
+        written column by column.  The decimal index changes width at each
+        power of ten: within a chunk, the rounds of one width form one block
+        of rows d characters wider than the tail, and the blocks lie back to
+        back in the chunk's buffer.
         """
-        n = self.n_rounds
-        if n == 0:
-            return ""
         n_bobs = self.outcomes.shape[1] - 1
         width = n_bobs + 12
-        tail = np.full((n, width), ord(" "), dtype=np.uint8)
-        tail[:, 1:8:2] = np.column_stack([self.t, self.x, self.y1, self.outcomes[:, 0]])
-        tail[:, 9:-3] = self.outcomes[:, 1:]
-        tail[:, 1:8:2] += ord("0")
-        tail[:, 9:-3] += ord("0")
-        tail[:, -2] = np.frombuffer(b"-01", dtype=np.uint8)[self.c + 1]
-        tail[:, -1] = ord("\n")
+        for s in _chunks(self.n_rounds):
+            lo, hi = s.start, s.stop
+            tail = np.full((hi - lo, width), ord(" "), dtype=np.uint8)
+            tail[:, 1:8:2] = np.column_stack([self.t[s], self.x[s], self.y1[s], self.outcomes[s, 0]])
+            tail[:, 9:-3] = self.outcomes[s, 1:]
+            tail[:, 1:8:2] += ord("0")
+            tail[:, 9:-3] += ord("0")
+            tail[:, -2] = np.frombuffer(b"-01", dtype=np.uint8)[self.c[s] + 1]
+            tail[:, -1] = ord("\n")
 
-        bounds = [0] + [10**d for d in range(1, len(str(n - 1)))] + [n]
-        blocks = [(d, lo, hi) for d, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start=1)]
-        buf = np.empty(sum((hi - lo) * (d + width) for d, lo, hi in blocks), dtype=np.uint8)
-        offset = 0
-        for d, lo, hi in blocks:
-            block = buf[offset:offset + (hi - lo) * (d + width)].reshape(hi - lo, d + width)
-            index = np.arange(lo, hi)
-            for k in range(d):
-                block[:, d - 1 - k] = index // 10**k % 10 + ord("0")
-            block[:, d:] = tail[lo:hi]
-            offset += block.size
-        return str(buf, "ascii")  # decodes the buffer in place, no bytes copy
+            # the index widths present in [lo, hi) and the powers of ten between them
+            digits = range(len(str(lo)), len(str(hi - 1)) + 1)
+            bounds = [lo] + [10 ** (d - 1) for d in digits[1:]] + [hi]
+            blocks = list(zip(digits, bounds, bounds[1:]))
+            buf = np.empty(sum((b - a) * (d + width) for d, a, b in blocks), dtype=np.uint8)
+            offset = 0
+            for d, a, b in blocks:
+                block = buf[offset:offset + (b - a) * (d + width)].reshape(b - a, d + width)
+                index = np.arange(a, b)
+                for k in range(d):
+                    block[:, d - 1 - k] = index // 10**k % 10 + ord("0")
+                block[:, d:] = tail[a - lo:b - lo]
+                offset += block.size
+            yield buf
 
 
-def summary_json(text: str) -> str:
-    """The JSON text of the last SUMMARY line of a serialized transcript.
+def read_summary(text: str) -> dict:
+    """Parse the last SUMMARY line out of a serialized transcript.
 
     Found by one reverse search, so the round lines are neither split nor
     copied.
@@ -229,12 +255,7 @@ def summary_json(text: str) -> str:
     if start == 0 and not text.startswith("SUMMARY "):
         raise ValueError("transcript has no SUMMARY line")
     end = text.find("\n", start)
-    return text[start + len("SUMMARY "):end if end >= 0 else len(text)]
-
-
-def read_summary(text: str) -> dict:
-    """Parse the SUMMARY line out of a serialized transcript."""
-    return json.loads(summary_json(text))
+    return json.loads(text[start + len("SUMMARY "):end if end >= 0 else len(text)])
 
 
 @dataclass
@@ -267,30 +288,50 @@ def _round_distributions(n_parties: int, qber: float) -> dict[int, np.ndarray]:
     return {cid: np.cumsum(joint_distribution(state, obs)) for cid, obs in enumerate(classes)}
 
 
+def _chunks(n: int) -> list[slice]:
+    """Consecutive slices of at most ``_CHUNK`` rounds that cover ``range(n)``."""
+    return [slice(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
+
+
 def _measure_rounds(config: ProtocolConfig, streams: _Streams) -> Transcript:
-    """Protocol steps 1-2: state preparation, input choice, measurement."""
+    """Protocol steps 1-2: state preparation, input choice, measurement.
+
+    The kept uint8 arrays are allocated once and filled ``_CHUNK`` rounds at
+    a time, so the int64 and float64 temporaries of sampling exist for one
+    chunk only.  Each stream is drawn in the order a one-shot draw would
+    use (all of ``x`` before all of ``y1`` from ``inputs``), and
+    ``Generator.random`` and int64 ``integers(0, 2)`` give the same values
+    in chunks as in one call, so the rounds do not depend on ``_CHUNK``.
+    """
     n, n_par = config.n_rounds, config.n_parties
     tr = Transcript(n_parties=n_par, n_rounds=n, rng_seed=config.rng_seed)
-    tr.outcomes = np.zeros((n, n_par), dtype=np.uint8)
+    tr.t = np.empty(n, dtype=np.uint8)
+    tr.x = np.empty(n, dtype=np.uint8)
+    tr.y1 = np.empty(n, dtype=np.uint8)
+    tr.outcomes = np.empty((n, n_par), dtype=np.uint8)
     tr.c = np.full(n, -1, dtype=np.int8)
     if n == 0:
         return tr
-    t = (streams.tests.random(n) < config.mu).astype(np.uint8)
-    xs = streams.inputs.integers(0, 2, size=n).astype(np.uint8)
-    ys = streams.inputs.integers(0, 2, size=n).astype(np.uint8)
-    tr.t = t
-    tr.x = np.where(t == 1, xs, 0).astype(np.uint8)
-    tr.y1 = np.where(t == 1, ys, 2).astype(np.uint8)
+    chunks = _chunks(n)
+    for raw in (tr.x, tr.y1):
+        for s in chunks:
+            raw[s] = streams.inputs.integers(0, 2, size=s.stop - s.start)
 
     tables = _round_distributions(n_par, config.qber)
-    cls = np.where(t == 1, 1 + 2 * tr.x.astype(np.int64) + tr.y1.astype(np.int64), 0)
-    u = streams.outcomes.random(n)
-    idx = np.zeros(n, dtype=np.int64)
-    for cid, cum in tables.items():
-        mask = cls == cid
-        if mask.any():
-            idx[mask] = np.minimum(np.searchsorted(cum, u[mask], side="right"), len(cum) - 1)
-    tr.outcomes = outcome_bits(idx, n_par)
+    for s in chunks:
+        size = s.stop - s.start
+        test = streams.tests.random(size) < config.mu
+        tr.t[s] = test
+        tr.x[s] *= test
+        tr.y1[s][~test] = 2
+        cls = np.where(test, 1 + 2 * tr.x[s].astype(np.int64) + tr.y1[s], 0)
+        u = streams.outcomes.random(size)
+        idx = np.zeros(size, dtype=np.int64)
+        for cid, cum in tables.items():
+            mask = cls == cid
+            if mask.any():
+                idx[mask] = np.minimum(np.searchsorted(cum, u[mask], side="right"), len(cum) - 1)
+        tr.outcomes[s] = outcome_bits(idx, n_par)
     return tr
 
 
@@ -324,7 +365,10 @@ def reconcile(
     seed = random_seed(n, _tag_length(config.eps.ec_prime, n), rng)
     tag = toeplitz_hash(seed, alice)
     if bob_keys is None:
-        bob_keys = [alice.copy() for _ in range(n_par - 1)]
+        # every oracle-corrected Bob holds Alice's string: share it, read-only
+        oracle = alice.view()
+        oracle.setflags(write=False)
+        bob_keys = [oracle] * (n_par - 1)
     elif len(bob_keys) != n_par - 1:
         raise LengthMismatchError(f"need {n_par - 1} Bob keys, got {len(bob_keys)}")
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dicka import LengthMismatchError, ToeplitzSeed, bits_to_hex, hex_to_bits, toeplitz_hash, verify_hash
+from dicka import LengthMismatchError, hashing, ToeplitzSeed, bits_to_hex, toeplitz_hash, verify_hash
 from dicka.hashing import as_bits, random_seed
 
 
@@ -85,6 +85,45 @@ def test_large_hash_runs_in_bounded_memory():
     d = seed.diagonal_bits.astype(np.int64)
     for j in rng.choice(out_len, size=64, replace=False):
         assert out[j] == (d[j : j + in_len][::-1] @ x) % 2
+
+
+def _one_shot_hash(seed, bits):
+    """The hash as one correlate over the whole input: the reference for the blocked one."""
+    if seed.out_len == 0:  # correlate would swap its arguments
+        return np.zeros(0, dtype=np.uint8)
+    acc = np.correlate(seed.diagonal_bits.astype(np.float64), bits[::-1].astype(np.float64), "valid")
+    return (acc.astype(np.int64) & 1).astype(np.uint8)
+
+
+@pytest.mark.parametrize("block", [hashing._BLOCK, 61], ids=["BLOCK", "block61"])
+def test_blocked_hash_matches_one_shot_correlate(block, monkeypatch):
+    # around the block edges, on all-ones inputs whose row sums come closest
+    # to in_len; a square hash at the real block size costs seconds, so
+    # out_len = in_len runs with a small block in place of _BLOCK
+    monkeypatch.setattr(hashing, "_BLOCK", block)
+    rng = np.random.Generator(np.random.PCG64(43))
+    for in_len in (block - 1, block, block + 1, 2 * block + 5):
+        square = [in_len] if block < 1000 else []
+        for out_len in [0, 1, min(200, in_len)] + square:
+            seed = random_seed(in_len, out_len, rng)
+            for u in (np.ones(in_len, dtype=np.uint8), rng.integers(0, 2, size=in_len, dtype=np.uint8)):
+                assert np.array_equal(toeplitz_hash(seed, u), _one_shot_hash(seed, u))
+
+
+def test_long_input_hash_holds_bounded_memory():
+    # the one-shot correlate would hold two float64 copies of the input: 32 MB here
+    rng = np.random.Generator(np.random.PCG64(47))
+    in_len, out_len = 2 * 10**6, 27
+    seed = random_seed(in_len, out_len, rng)
+    x = rng.integers(0, 2, size=in_len, dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        out = toeplitz_hash(seed, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert np.array_equal(out, _one_shot_hash(seed, x))
 
 
 def test_linearity():
@@ -216,9 +255,14 @@ def test_two_universality_statistics():
     assert abs(collisions / trials - expected) < 3 * sigma
 
 
-def test_hex_roundtrip():
+def test_hex_packs_bits_little_endian():
     rng = np.random.Generator(np.random.PCG64(31))
     for n_bits in (0, 1, 7, 8, 9, 64, 130):
         bits = rng.integers(0, 2, size=n_bits, dtype=np.uint8)
-        assert np.array_equal(hex_to_bits(bits_to_hex(bits), n_bits), bits)
+        text = bits_to_hex(bits)
+        assert len(text) == 2 * ((n_bits + 7) // 8)
+        raw = np.frombuffer(bytes.fromhex(text), dtype=np.uint8)
+        unpacked = np.unpackbits(raw, bitorder="little")
+        assert np.array_equal(unpacked[:n_bits], bits)
+        assert not unpacked[n_bits:].any()
     assert bits_to_hex([1, 0, 1, 1]) == "0d"

@@ -1,7 +1,9 @@
 """End-to-end and per-step tests of the protocol engine."""
 
 import dataclasses
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +33,8 @@ from dicka import (
     run_protocol,
 )
 from dicka.game import _questions
-from dicka.protocol import ABORT_EC, ABORT_PE, _Streams, _measure_rounds, _round_distributions
+from dicka.protocol import ABORT_EC, ABORT_PE, _CHUNK, _Streams, _measure_rounds, _round_distributions
+from dicka.quantum import outcome_bits
 
 
 def _budget():
@@ -399,6 +402,99 @@ def test_round_lines_match_oracle(kind, n_parties):
             assert set(tr.c.tolist()) == {-1, 0, 1}
         elif kind != "success" and n_rounds >= 1000:
             assert tr.abort == {"pe_abort": ABORT_PE, "ec_abort": ABORT_EC}[kind]
+
+
+def _oracle_measure_rounds(config, streams):
+    """Every round sampled in one draw per stream: the reference for the chunked sampler."""
+    n, n_par = config.n_rounds, config.n_parties
+    t = (streams.tests.random(n) < config.mu).astype(np.uint8)
+    xs = streams.inputs.integers(0, 2, size=n).astype(np.uint8)
+    ys = streams.inputs.integers(0, 2, size=n).astype(np.uint8)
+    x = np.where(t == 1, xs, 0).astype(np.uint8)
+    y1 = np.where(t == 1, ys, 2).astype(np.uint8)
+    tables = _round_distributions(n_par, config.qber)
+    cls = np.where(t == 1, 1 + 2 * x.astype(np.int64) + y1.astype(np.int64), 0)
+    u = streams.outcomes.random(n)
+    idx = np.zeros(n, dtype=np.int64)
+    for cid, cum in tables.items():
+        mask = cls == cid
+        idx[mask] = np.minimum(np.searchsorted(cum, u[mask], side="right"), len(cum) - 1)
+    return t, x, y1, outcome_bits(idx, n_par)
+
+
+@pytest.mark.parametrize("n_parties", range(3, 7))
+def test_chunked_rounds_match_one_shot_oracle(n_parties):
+    for n_rounds in (_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 17):
+        config = _config(
+            n_parties=n_parties, n_rounds=n_rounds, mu=0.5, qber=0.05, delta=0.78,
+            key_len=64, rng_seed=n_parties * n_rounds,
+        )
+        streams = _Streams.from_seed(config.rng_seed)
+        tr = _measure_rounds(config, streams)
+        expected = _oracle_measure_rounds(config, _Streams.from_seed(config.rng_seed))
+        for got, want in zip((tr.t, tr.x, tr.y1, tr.outcomes), expected):
+            assert got.dtype == np.uint8 and np.array_equal(got, want)
+        # the later stages draw from where sampling left their streams
+        assert (tr.c == -1).all()
+        tr = run_protocol(config)
+        out = io.BytesIO()
+        assert tr.serialize(out) is None
+        assert out.getvalue() == tr.serialize().encode("ascii")
+
+
+def test_numpy_draws_are_chunk_stable():
+    # the chunked sampler relies on this: the same values in chunks as in one call
+    n = 3 * 1001 + 17
+    splits = [0, 1, 2, 999, 1000, 2047, 2048, 3000, n]
+
+    def chunked(draw, seed, blocks):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        return [np.concatenate([draw(rng, b - a) for a, b in zip(splits, splits[1:])]) for _ in range(blocks)]
+
+    def one_shot(draw, seed, blocks):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        return [draw(rng, n) for _ in range(blocks)]
+
+    draws = {
+        "random": lambda rng, size: rng.random(size),
+        "integers": lambda rng, size: rng.integers(0, 2, size=size),
+    }
+    for name, draw in draws.items():
+        for seed in (0, 7, 2**63 + 5):
+            # two n-blocks from one stream, as x and y1 are drawn
+            got, want = chunked(draw, seed, 2), one_shot(draw, seed, 2)
+            assert got[0].dtype == want[0].dtype
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), name
+
+
+def test_run_and_serialize_hold_bounded_memory(tmp_path):
+    # the transcript itself takes about 9 bytes per round at N = 3; the
+    # sampling, hashing and serialization temporaries must not grow with n
+    config = _config(n_rounds=10**6, mu=0.05, qber=0.02, delta=0.78, key_len=128, rng_seed=3)
+    _round_distributions(config.n_parties, config.qber)
+    tracemalloc.start()
+    try:
+        tr = run_protocol(config)
+        with open(tmp_path / "run.txt", "wb") as fh:
+            tr.serialize(fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tr.abort is None and tr.keys_identical
+    assert peak < 20 * 2**20
+
+
+def test_oracle_bob_keys_share_alices_string_read_only():
+    config = _config(n_parties=5, n_rounds=300, rng_seed=4)
+    streams = _Streams.from_seed(config.rng_seed)
+    tr = reconcile(config, _measure_rounds(config, streams), streams.ec)
+    alice, bobs = tr.raw_keys[0], tr.raw_keys[1:]
+    assert len(bobs) == 4 and tr.abort is None
+    for bob in bobs:
+        assert np.shares_memory(bob, alice) and np.array_equal(bob, alice)
+        assert not bob.flags.writeable
+        with pytest.raises(ValueError):
+            bob[0] ^= 1
 
 
 def test_round_records_consistent():
