@@ -33,8 +33,9 @@ from .errors import LengthMismatchError
 
 BitsLike = Union[str, Sequence[int], np.ndarray]
 
-# Input bits per correlate call: 16 * _BLOCK bytes of float64 blocks, so a
-# hash's working memory does not grow with in_len.
+# Input bits per correlate call.  A call's float64 operands take about
+# 16 * _BLOCK + 8 * out_len bytes, so a hash's working memory does not grow
+# with in_len (1 MB at this size for a short output).
 _BLOCK = 2**16
 
 
@@ -118,13 +119,19 @@ def toeplitz_hash(seed: ToeplitzSeed, input: BitsLike) -> np.ndarray:
         raise LengthMismatchError(f"input has {bits.size} bits, seed expects {in_len}")
     if out_len == 0:
         return np.zeros(0, dtype=np.uint8)
-    acc = np.zeros(out_len, dtype=np.float64)
-    for m0 in range(0, in_len, _BLOCK):
-        m1 = min(m0 + _BLOCK, in_len)
-        # r[m0:m1] is input[in_len - m1:in_len - m0] reversed
-        block = bits[in_len - m1:in_len - m0][::-1].astype(np.float64)
-        diag = seed.diagonal_bits[m0:m1 + out_len - 1].astype(np.float64)
-        acc += np.correlate(diag, block, "valid")
+    rev, diag = bits[::-1], seed.diagonal_bits
+
+    def block_sums(m0: int) -> np.ndarray:
+        # slicing clips at the ends, which is exactly the last block's extent
+        return np.correlate(
+            diag[m0:m0 + _BLOCK + out_len - 1].astype(np.float64),
+            rev[m0:m0 + _BLOCK].astype(np.float64),
+            "valid",
+        )
+
+    acc = block_sums(0)
+    for m0 in range(_BLOCK, in_len, _BLOCK):
+        acc += block_sums(m0)
     return (acc.astype(np.int64) & 1).astype(np.uint8)
 
 

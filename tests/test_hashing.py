@@ -255,7 +255,7 @@ def test_two_universality_statistics():
     assert abs(collisions / trials - expected) < 3 * sigma
 
 
-def test_hex_packs_bits_little_endian():
+def test_hex_roundtrip():
     rng = np.random.Generator(np.random.PCG64(31))
     for n_bits in (0, 1, 7, 8, 9, 64, 130):
         bits = rng.integers(0, 2, size=n_bits, dtype=np.uint8)
