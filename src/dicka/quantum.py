@@ -138,6 +138,12 @@ def joint_distribution(state: GHZState, settings: Sequence[Observable]) -> np.nd
 
 
 def outcome_bits(idx: np.ndarray, n_qubits: int) -> np.ndarray:
-    """uint8 outcome bits of integer outcome indices: one row per index, party 0 first."""
-    shifts = np.arange(n_qubits - 1, -1, -1, dtype=np.int64)
-    return ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+    """uint8 outcome bits of integer outcome indices: one row per index, party 0 first.
+
+    The shifts run in the narrowest unsigned type that holds an index below
+    2**n_qubits, so the (len(idx), n_qubits) temporaries take one or two
+    bytes per entry rather than eight.
+    """
+    dtype = np.min_scalar_type(2**n_qubits - 1)
+    shifts = np.arange(n_qubits - 1, -1, -1, dtype=dtype)
+    return ((idx.astype(dtype)[:, None] >> shifts) & 1).astype(np.uint8, copy=False)

@@ -17,7 +17,7 @@ from dicka import (
     honest_settings,
     joint_distribution,
 )
-from dicka.quantum import PAULI_I, PAULI_X, PAULI_Z, outcome_bits
+from dicka.quantum import MAX_QUBITS, PAULI_I, PAULI_X, PAULI_Z, outcome_bits
 
 SQRT2 = math.sqrt(2.0)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -157,7 +157,7 @@ def test_observables_are_involutions():
 
 
 def test_outcome_bits_repack_to_index():
-    for n in range(1, 9):
+    for n in range(1, MAX_QUBITS + 1):
         idx = np.arange(2**n)
         bits = outcome_bits(idx, n)
         assert bits.dtype == np.uint8 and bits.shape == (2**n, n)
