@@ -110,8 +110,8 @@ def toeplitz_hash(seed: ToeplitzSeed, input: BitsLike) -> np.ndarray:
     terms are 0 or 1, so each block's sums, every partial sum inside a
     correlation and every running total is an integer in [0, in_len], which
     float64 holds exactly (in_len < 2**53): the result does not depend on
-    the block size or on the order in which BLAS adds the terms, and its low
-    bit is the GF(2) product.
+    the block size or on the order in which BLAS adds the terms, and its
+    remainder mod 2 (``fmod`` is exact) is the GF(2) product.
     """
     bits = as_bits(input)
     in_len, out_len = seed.in_len, seed.out_len
@@ -132,7 +132,7 @@ def toeplitz_hash(seed: ToeplitzSeed, input: BitsLike) -> np.ndarray:
     acc = block_sums(0)
     for m0 in range(_BLOCK, in_len, _BLOCK):
         acc += block_sums(m0)
-    return (acc.astype(np.int64) & 1).astype(np.uint8)
+    return np.fmod(acc, 2).astype(np.uint8)
 
 
 def verify_hash(seed: ToeplitzSeed, candidate: BitsLike, tag: BitsLike) -> bool:
