@@ -25,7 +25,8 @@ hashed in blocks (see :mod:`dicka.hashing`), so the int64 and float64
 temporaries of those stages are bounded by the chunk, not by the run.  What
 grows with the round count is the transcript's arrays (N + 4 bytes per
 round), Alice's raw key (one byte per round; the Bobs' oracle keys share
-it) and one-byte test-round masks: about 12 bytes per round at N = 3.
+it), the EC and PA seeds (one byte per bit) and one-byte test-round masks:
+about 12 bytes per round at N = 3.
 
 Transcript text format (LF line endings)
 ----------------------------------------

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dicka import LengthMismatchError, hashing, ToeplitzSeed, bits_to_hex, toeplitz_hash, verify_hash
+from dicka import LengthMismatchError, ToeplitzSeed, bits_to_hex, hashing, toeplitz_hash, verify_hash
 from dicka.hashing import as_bits, random_seed
 
 
