@@ -8,12 +8,10 @@ from .errors import (
     SizeOutOfRangeError,
 )
 from .game import (
-    GameRound,
     SettingsBundle,
     classical_value,
     conditioned_win_probabilities,
     honest_settings,
-    parity_chsh_wins,
     quantum_win_probability,
 )
 from .hashing import ToeplitzSeed, bits_to_hex, random_seed, toeplitz_hash, verify_hash
@@ -31,7 +29,6 @@ from .keyrate import (
     leak_ec_bounds,
     min_tradeoff_fhat,
     min_tradeoff_slope,
-    pdep_to_qber,
     pexp_formula,
     qber_to_pdep,
     tangent_f,

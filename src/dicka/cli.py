@@ -224,10 +224,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_TOOL_ERROR if exc.code else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, *_CONFIG_ERRORS) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOOL_ERROR
-    except OSError as exc:
+    except (ConfigError, OSError, *_CONFIG_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOOL_ERROR
 

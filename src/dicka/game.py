@@ -21,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidInputError, SizeOutOfRangeError
+from .errors import DimensionMismatchError, SizeOutOfRangeError
 from .quantum import (
     PAULI_X,
     PAULI_Z,
@@ -32,34 +32,11 @@ from .quantum import (
 )
 
 
-@dataclass(frozen=True)
-class GameRound:
-    """Inputs and outputs of one play: Alice (x, a), Bob_1 (y, b1), rest (b_rest)."""
-
-    x: int
-    y: int
-    a: int
-    b1: int
-    b_rest: str = ""
-
-    def __post_init__(self) -> None:
-        for name in ("x", "y", "a", "b1"):
-            if getattr(self, name) not in (0, 1):
-                raise InvalidInputError(f"{name} must be 0 or 1, got {getattr(self, name)!r}")
-        if any(ch not in "01" for ch in self.b_rest):
-            raise InvalidInputError(f"b_rest must be a bit string, got {self.b_rest!r}")
-
-
 def parity_chsh_wins_bulk(x, y, a, b1, rest_parity) -> np.ndarray:
     """Whether a XOR b1 == x * ((y + rest_parity) mod 2), elementwise over integer arrays."""
     x = np.asarray(x, dtype=np.int64)
     rhs = (x * ((np.asarray(y, dtype=np.int64) + np.asarray(rest_parity, dtype=np.int64)) % 2)) % 2
     return (np.asarray(a, dtype=np.int64) ^ np.asarray(b1, dtype=np.int64)) == rhs
-
-
-def parity_chsh_wins(round: GameRound) -> bool:
-    """Whether the round satisfies a XOR b1 == x * ((y + parity(b_rest)) mod 2)."""
-    return bool(parity_chsh_wins_bulk(round.x, round.y, round.a, round.b1, round.b_rest.count("1") & 1))
 
 
 def classical_value(n_parties: int) -> Fraction:
@@ -82,10 +59,10 @@ def classical_value(n_parties: int) -> Fraction:
     return Fraction(int(wins.max()), 4)
 
 
-_Z = Observable("Z", PAULI_Z)
-_X = Observable("X", PAULI_X)
-_Z_PLUS_X = Observable("ZplusX", (PAULI_Z + PAULI_X) / np.sqrt(2.0))
-_Z_MINUS_X = Observable("ZminusX", (PAULI_Z - PAULI_X) / np.sqrt(2.0))
+_Z = Observable(PAULI_Z)
+_X = Observable(PAULI_X)
+_Z_PLUS_X = Observable((PAULI_Z + PAULI_X) / np.sqrt(2.0))
+_Z_MINUS_X = Observable((PAULI_Z - PAULI_X) / np.sqrt(2.0))
 
 
 @dataclass(frozen=True)

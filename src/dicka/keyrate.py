@@ -20,8 +20,9 @@ changes nothing else.
 The tangent point.  With f(p) = min_tradeoff_fhat(p / mu, mu) and
 q1 = mu delta, the key length depends on the tangent point p only through
 O(p) = n (f(p) + f'(p) (q1 - p) - mu) - sqrt(n) v_tilde(p), and v_tilde is
-affine in f'(p) with coefficient K = 2 A / mu ("main") or 2 A ("appendix"),
-A = sqrt(1 - 2 log2(eps_smooth eps_EA)); so O'(p) = f''(p) (n (q1 - p) - K sqrt(n)).
+affine in f'(p) with coefficient K = 2 A / d, A = sqrt(1 - 2 log2(eps_smooth
+eps_EA)) and d = ``_slope_divisor`` = mu ("main") or 1 ("appendix"); so
+O'(p) = f''(p) (n (q1 - p) - K sqrt(n)).
 f is strictly convex on (3 mu/4, mu Tsirelson): f'(p) is a positive constant
 times s artanh(g) / g, s = 4 p / mu - 2 and g = sqrt(s^2 - 1) all growing in
 p.  So O peaks at p* = q1 - K / sqrt(n) < mu Tsirelson.  When p* lies at or
@@ -248,6 +249,11 @@ def _ea_root(eps_smooth: float, eps_ea: float) -> float:
     return math.sqrt(1.0 - 2.0 * math.log2(eps_smooth * eps_ea))
 
 
+def _slope_divisor(variant: str, mu: float) -> float:
+    """What the tradeoff slope is divided by in v_tilde: mu ("main") or 1 ("appendix")."""
+    return mu if variant == "main" else 1.0
+
+
 def v_tilde(p_opt: float, mu: float, eps_smooth: float, eps_ea: float, variant: str = "main") -> float:
     """Second-order (sqrt-n) coefficient of the entropy accumulation bound.
 
@@ -260,7 +266,7 @@ def v_tilde(p_opt: float, mu: float, eps_smooth: float, eps_ea: float, variant: 
     _check_eps("eps_smooth", eps_smooth)
     _check_eps("eps_ea", eps_ea)
     slope = min_tradeoff_slope(p_opt, mu)
-    slope_term = slope / mu + 1.0 if variant == "main" else slope + 1.0
+    slope_term = slope / _slope_divisor(variant, mu) + 1.0
     first = 2.0 * (_LOG2_13 + slope_term) * _ea_root(eps_smooth, eps_ea)
     eta = _one_minus_sqrt_term(eps_smooth)
     second = 2.0 * _LOG2_7 * math.sqrt(-(2.0 * math.log2(eps_ea) + math.log2(eta)))
@@ -292,7 +298,7 @@ def _tangent_delta(params: RateParams) -> float:
     end = CLASSICAL_BOUND + _END_GAP
     if params.n_rounds == 0:
         return end
-    k = 2.0 * _ea_root(params.eps.smooth, params.eps.ea) / (params.mu if params.variant == "main" else 1.0)
+    k = 2.0 * _ea_root(params.eps.smooth, params.eps.ea) / _slope_divisor(params.variant, params.mu)
     return max(params.delta - k / (params.mu * math.sqrt(params.n_rounds)), end)
 
 
@@ -351,13 +357,6 @@ def qber_to_pdep(qber: float) -> float:
     """Depolarizing probability giving QBER Q between Alice and each Bob."""
     _check_qber(qber)
     return 1.0 - math.sqrt(1.0 - 2.0 * qber)
-
-
-def pdep_to_qber(p_dep: float) -> float:
-    """Inverse of qber_to_pdep: Q = (2 p - p^2) / 2."""
-    if not 0.0 <= p_dep <= 1.0:
-        raise DomainError(f"p_dep must lie in [0, 1], got {p_dep!r}")
-    return (2.0 * p_dep - p_dep**2) / 2.0
 
 
 def pexp_formula(n_parties: int, qber: float) -> float:

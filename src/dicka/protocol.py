@@ -25,8 +25,8 @@ hashed in blocks (see :mod:`dicka.hashing`), so the int64 and float64
 temporaries of those stages are bounded by the chunk, not by the run.  What
 grows with the round count is the transcript's arrays (N + 4 bytes per
 round), Alice's raw key (one byte per round; the Bobs' oracle keys share
-it), the EC and PA seeds (one byte per bit) and one-byte test-round masks:
-about 12 bytes per round at N = 3.
+it), the EC and PA seeds (one byte per bit) and the Bobs' test-round
+disclosures: about 11 bytes per round at N = 3 and mu = 0.05.
 
 Transcript text format (LF line endings)
 ----------------------------------------
@@ -53,7 +53,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import BinaryIO, Iterator, Optional
 
@@ -62,7 +62,7 @@ import numpy as np
 from .errors import DomainError, InvalidInputError, LengthMismatchError, SizeOutOfRangeError
 from .game import honest_settings, parity_chsh_wins_bulk
 from .hashing import ToeplitzSeed, bits_to_hex, random_seed, toeplitz_hash, verify_hash
-from .keyrate import EpsilonBudget, RateParams, finite_key_length, qber_to_pdep
+from .keyrate import RateParams, finite_key_length, qber_to_pdep
 from .quantum import MAX_QUBITS, GHZState, NoiseModel, depolarize_each, joint_distribution, outcome_bits
 
 ABORT_EC = "ec_failure"
@@ -74,19 +74,12 @@ ABORT_PE = "parameter_estimation"
 _CHUNK = 2**14
 
 
-@dataclass(frozen=True)
-class ProtocolConfig:
-    """All protocol and security parameters for one run."""
+@dataclass(frozen=True, kw_only=True)
+class ProtocolConfig(RateParams):
+    """The rate parameters of one run plus its seed and an optional key-length override."""
 
-    n_parties: int
-    n_rounds: int
-    mu: float
-    delta: float
-    qber: float
-    eps: EpsilonBudget
     rng_seed: int
     key_len: Optional[int] = None  # override; None means use the computed length
-    variant: str = "main"
 
     def __post_init__(self) -> None:
         if self.n_parties < 3:
@@ -96,7 +89,7 @@ class ProtocolConfig:
             raise SizeOutOfRangeError(
                 f"n_parties must be at most {MAX_QUBITS} for exact simulation, got {self.n_parties}"
             )
-        self.rate_params()  # checks n_rounds, mu, delta, qber and variant
+        super().__post_init__()  # checks n_rounds, mu, delta, qber and variant
         if not 0 <= self.rng_seed < 2**64:
             raise DomainError("rng_seed must be an unsigned 64-bit integer")
         # checked here, not only in amplify, which an aborted run never reaches
@@ -104,17 +97,6 @@ class ProtocolConfig:
             raise DomainError(
                 f"key_len override must lie in [0, n_rounds = {self.n_rounds}], got {self.key_len}"
             )
-
-    def rate_params(self) -> RateParams:
-        return RateParams(
-            n_parties=self.n_parties,
-            mu=self.mu,
-            delta=self.delta,
-            qber=self.qber,
-            n_rounds=self.n_rounds,
-            eps=self.eps,
-            variant=self.variant,
-        )
 
 
 @dataclass
@@ -124,11 +106,11 @@ class Transcript:
     n_parties: int
     n_rounds: int
     rng_seed: int
-    t: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.uint8))
-    x: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.uint8))
-    y1: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.uint8))
-    outcomes: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=np.uint8))
-    c: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int8))
+    t: np.ndarray
+    x: np.ndarray
+    y1: np.ndarray
+    outcomes: np.ndarray
+    c: np.ndarray
     ec_seed: Optional[ToeplitzSeed] = None
     ec_tag: Optional[np.ndarray] = None
     disclosures: Optional[list[np.ndarray]] = None
@@ -305,14 +287,16 @@ def _measure_rounds(config: ProtocolConfig, streams: _Streams) -> Transcript:
     in chunks as in one call, so the rounds do not depend on ``_CHUNK``.
     """
     n, n_par = config.n_rounds, config.n_parties
-    tr = Transcript(n_parties=n_par, n_rounds=n, rng_seed=config.rng_seed)
-    tr.t = np.empty(n, dtype=np.uint8)
-    tr.x = np.empty(n, dtype=np.uint8)
-    tr.y1 = np.empty(n, dtype=np.uint8)
-    tr.outcomes = np.empty((n, n_par), dtype=np.uint8)
-    tr.c = np.full(n, -1, dtype=np.int8)
-    if n == 0:
-        return tr
+    tr = Transcript(
+        n_parties=n_par,
+        n_rounds=n,
+        rng_seed=config.rng_seed,
+        t=np.empty(n, dtype=np.uint8),
+        x=np.empty(n, dtype=np.uint8),
+        y1=np.empty(n, dtype=np.uint8),
+        outcomes=np.empty((n, n_par), dtype=np.uint8),
+        c=np.full(n, -1, dtype=np.int8),
+    )
     chunks = _chunks(n)
     for raw in (tr.x, tr.y1):
         for s in chunks:
@@ -357,14 +341,7 @@ def reconcile(
     corruption experiments; any verification failure aborts the run.
     """
     n, n_par = transcript.n_rounds, transcript.n_parties
-    alice = transcript.outcomes[:, 0].copy() if n else np.zeros(0, dtype=np.uint8)
-    if n == 0:
-        transcript.raw_keys = [alice] + [alice.copy() for _ in range(n_par - 1)]
-        transcript.disclosures = [np.zeros(0, dtype=np.uint8) for _ in range(n_par - 1)]
-        return transcript
-
-    seed = random_seed(n, _tag_length(config.eps.ec_prime, n), rng)
-    tag = toeplitz_hash(seed, alice)
+    alice = transcript.outcomes[:, 0].copy()
     if bob_keys is None:
         # every oracle-corrected Bob holds Alice's string: share it, read-only
         oracle = alice.view()
@@ -372,15 +349,16 @@ def reconcile(
         bob_keys = [oracle] * (n_par - 1)
     elif len(bob_keys) != n_par - 1:
         raise LengthMismatchError(f"need {n_par - 1} Bob keys, got {len(bob_keys)}")
+    tests = np.flatnonzero(transcript.t)
+    transcript.disclosures = [transcript.outcomes[tests, k] for k in range(1, n_par)]
+    transcript.raw_keys = [alice] + list(bob_keys)
+    if n == 0:
+        return transcript
 
+    seed = random_seed(n, _tag_length(config.eps.ec_prime, n), rng)
+    tag = toeplitz_hash(seed, alice)
     transcript.ec_seed = seed
     transcript.ec_tag = tag
-    test_mask = transcript.t == 1
-    transcript.disclosures = [
-        transcript.outcomes[test_mask, k].copy() for k in range(1, n_par)
-    ]
-    transcript.raw_keys = [alice] + list(bob_keys)
-
     if not all(verify_hash(seed, cand, tag) for cand in bob_keys):
         transcript.abort = ABORT_EC
     return transcript
@@ -396,18 +374,16 @@ def estimate_parameters(config: ProtocolConfig, transcript: Transcript) -> Trans
     """
     if transcript.disclosures is None:
         raise InvalidInputError("reconciliation must run before parameter estimation")
-    test_mask = transcript.t == 1
-    n_tests = int(test_mask.sum())
+    tests = np.flatnonzero(transcript.t)
+    n_tests = len(tests)
     if n_tests == 0:
         transcript.pe_vacuous = True
         return transcript
-    a = transcript.outcomes[test_mask, 0]
-    b1 = transcript.disclosures[0]
-    rest_parity = np.zeros(n_tests, dtype=np.int64)
-    for disc in transcript.disclosures[1:]:
-        rest_parity ^= disc.astype(np.int64)
-    wins = parity_chsh_wins_bulk(transcript.x[test_mask], transcript.y1[test_mask], a, b1, rest_parity)
-    transcript.c[test_mask] = wins.astype(np.int8)
+    a = transcript.outcomes[tests, 0]
+    b1, *rest = transcript.disclosures
+    rest_parity = np.bitwise_xor.reduce(rest)
+    wins = parity_chsh_wins_bulk(transcript.x[tests], transcript.y1[tests], a, b1, rest_parity)
+    transcript.c[tests] = wins
     # tiny slack so a float representation of delta cannot turn an
     # exact-threshold pass into an abort (e.g. 80 wins of 100 at delta=0.8)
     if int(wins.sum()) < config.delta * n_tests - 1e-9:
@@ -446,6 +422,6 @@ def run_protocol(config: ProtocolConfig) -> Transcript:
     if config.key_len is not None:
         key_len = config.key_len
     else:
-        key_len = finite_key_length(config.rate_params()).key_length
+        key_len = finite_key_length(config).key_length
     amplify(transcript, key_len, streams.pa)
     return transcript

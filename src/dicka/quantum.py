@@ -57,7 +57,6 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 class Observable:
     """Two-outcome observable: a 2x2 Hermitian involution (eigenvalues +-1)."""
 
-    label: str
     matrix: np.ndarray
 
     def __post_init__(self) -> None:

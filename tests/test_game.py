@@ -2,12 +2,12 @@
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
 from dicka import (
-    GameRound,
     GHZState,
     NoiseModel,
     SizeOutOfRangeError,
@@ -16,11 +16,11 @@ from dicka import (
     depolarize_each,
     honest_settings,
     joint_distribution,
-    parity_chsh_wins,
     pexp_formula,
     qber_to_pdep,
     quantum_win_probability,
 )
+from dicka.game import parity_chsh_wins_bulk
 
 TSIRELSON = 0.5 + 0.5 / math.sqrt(2.0)
 
@@ -30,32 +30,26 @@ def _honest_state(n, qber=0.0):
 
 
 def test_predicate_examples():
-    assert parity_chsh_wins(GameRound(x=0, y=0, a=0, b1=0, b_rest=""))
-    assert not parity_chsh_wins(GameRound(x=1, y=1, a=0, b1=0, b_rest="0"))
-    assert parity_chsh_wins(GameRound(x=1, y=1, a=0, b1=0, b_rest="1"))
+    assert parity_chsh_wins_bulk(0, 0, 0, 0, 0)
+    assert not parity_chsh_wins_bulk(1, 1, 0, 0, 0)  # rest bits "0"
+    assert parity_chsh_wins_bulk(1, 1, 0, 0, 1)  # rest bits "1"
 
 
 def test_predicate_reduces_to_chsh_without_extra_bobs():
     # empty parity: win iff a xor b1 == x*y
-    for x in (0, 1):
-        for y in (0, 1):
-            for a in (0, 1):
-                for b1 in (0, 1):
-                    assert parity_chsh_wins(GameRound(x, y, a, b1, "")) == ((a ^ b1) == x * y)
+    x, y, a, b1 = np.array(list(product((0, 1), repeat=4))).T
+    wins = parity_chsh_wins_bulk(x, y, a, b1, np.zeros_like(x))
+    assert wins.tolist() == [(ai ^ bi) == xi * yi for xi, yi, ai, bi in zip(x, y, a, b1)]
 
 
 def test_bulk_predicate_matches_scalar():
-    from dicka.game import parity_chsh_wins_bulk
-
-    for x in (0, 1):
-        for y in (0, 1):
-            for a in (0, 1):
-                for b1 in (0, 1):
-                    for rest in ("", "0", "1", "01", "11"):
-                        parity = rest.count("1") & 1
-                        scalar = parity_chsh_wins(GameRound(x, y, a, b1, rest))
-                        bulk = parity_chsh_wins_bulk(x, y, a, b1, parity)
-                        assert bool(bulk) == scalar
+    # all 32 (x, y, a, b1, rest parity) cases at once, each checked against
+    # the definition a XOR b1 == x * ((y + parity) mod 2)
+    cases = list(product((0, 1), repeat=5))
+    x, y, a, b1, parity = np.array(cases).T
+    wins = parity_chsh_wins_bulk(x, y, a, b1, parity)
+    assert wins.shape == (32,)
+    assert wins.tolist() == [(ai ^ bi) == xi * ((yi + pi) % 2) for xi, yi, ai, bi, pi in cases]
 
 
 def test_classical_value_exact():

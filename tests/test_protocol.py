@@ -17,6 +17,7 @@ from dicka import (
     MAX_QUBITS,
     NoiseModel,
     ProtocolConfig,
+    RateParams,
     SizeOutOfRangeError,
     Transcript,
     amplify,
@@ -62,7 +63,7 @@ def test_honest_noiseless_run():
     assert tr.keys is not None
     assert tr.keys_identical
     # the computed finite-size length at these parameters is zero
-    assert len(tr.keys[0]) == finite_key_length(config.rate_params()).key_length
+    assert len(tr.keys[0]) == finite_key_length(config).key_length
     assert not tr.pe_vacuous
 
 
@@ -142,6 +143,16 @@ def test_reconcile_honest_keys_match_alice():
     assert all(len(d) == tr.n_test_rounds for d in tr.disclosures)
 
 
+@pytest.mark.parametrize("n_rounds", [0, 50])
+def test_reconcile_checks_bob_key_count(n_rounds):
+    config = _config(n_rounds=n_rounds)
+    for count in (1, 3):
+        streams = _Streams.from_seed(config.rng_seed)
+        tr = _measure_rounds(config, streams)
+        with pytest.raises(LengthMismatchError):
+            reconcile(config, tr, streams.ec, bob_keys=[tr.outcomes[:, 0].copy()] * count)
+
+
 def test_reconcile_detects_corrupted_key():
     config = _config(n_rounds=500, rng_seed=11)
     detected = 0
@@ -170,14 +181,18 @@ def test_full_testing_discloses_everything():
 def _synthetic_testing_transcript(wins, losses):
     """All-test-round transcript with x = 0 so a win means a == b1."""
     n = wins + losses
-    tr = Transcript(n_parties=3, n_rounds=n, rng_seed=0)
-    tr.t = np.ones(n, dtype=np.uint8)
-    tr.x = np.zeros(n, dtype=np.uint8)
-    tr.y1 = np.zeros(n, dtype=np.uint8)
-    tr.c = np.full(n, -1, dtype=np.int8)
     outcomes = np.zeros((n, 3), dtype=np.uint8)
     outcomes[wins:, 1] = 1  # b1 disagrees with a on the losing rounds
-    tr.outcomes = outcomes
+    tr = Transcript(
+        n_parties=3,
+        n_rounds=n,
+        rng_seed=0,
+        t=np.ones(n, dtype=np.uint8),
+        x=np.zeros(n, dtype=np.uint8),
+        y1=np.zeros(n, dtype=np.uint8),
+        outcomes=outcomes,
+        c=np.full(n, -1, dtype=np.int8),
+    )
     tr.raw_keys = [outcomes[:, 0].copy()] * 3
     tr.disclosures = [outcomes[:, 1].copy(), outcomes[:, 2].copy()]
     return tr
@@ -314,6 +329,89 @@ def test_round_distributions_pass_the_quantum_seams(monkeypatch):
     assert len(calls["joint_distribution"]) == 5
     assert isinstance(calls["depolarize_each"][0], GHZState)
     assert all(isinstance(state, GHZState) for state in calls["joint_distribution"])
+
+
+def test_protocol_stages_pass_their_seams(monkeypatch):
+    # perfbench's traced mode times each stage and counts the hashes by
+    # wrapping exactly these module attributes; run_protocol must call them
+    import dicka.hashing as hashing
+    import dicka.protocol as protocol
+
+    seams = [(protocol, name) for name in
+             ("reconcile", "estimate_parameters", "amplify", "toeplitz_hash", "finite_key_length")]
+    seams.append((hashing, "toeplitz_hash"))
+    calls = {}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+        key = f"{owner.__name__.rsplit('.', 1)[1]}.{name}"
+        calls[key] = []
+
+        def wrapper(*args, **kwargs):
+            calls[key].append(args)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for owner, name in seams:
+        monkeypatch.setattr(owner, name, counting(owner, name))
+
+    # the batch workload: N = 3, n = 10^4, key_len = 128
+    config = _config(qber=0.02, delta=0.78, key_len=128, rng_seed=5)
+    tr = run_protocol(config)
+    assert tr.abort is None and len(tr.keys[0]) == 128
+    counts = {key: len(args) for key, args in calls.items()}
+    assert counts == {
+        "protocol.reconcile": 1,
+        "protocol.estimate_parameters": 1,
+        "protocol.amplify": 1,
+        "protocol.toeplitz_hash": 4,  # the tag and the three keys
+        "protocol.finite_key_length": 0,
+        "hashing.toeplitz_hash": 2,  # the two Bobs' verifications, through verify_hash
+    }
+
+    for args in calls.values():
+        args.clear()
+    config = dataclasses.replace(config, key_len=None)
+    tr = run_protocol(config)
+    assert tr.abort is None
+    assert len(calls["protocol.finite_key_length"]) == 1
+    assert calls["protocol.finite_key_length"][0][0] is config
+
+
+def test_protocol_config_is_rate_params():
+    # the config is priced as itself: the same key length, term by term,
+    # as a RateParams built from the same fields
+    rate_fields = [f.name for f in dataclasses.fields(RateParams)]
+    assert [f.name for f in dataclasses.fields(ProtocolConfig)] == rate_fields + ["rng_seed", "key_len"]
+    lengths = {}
+    for variant in ("main", "appendix"):
+        config = _config(n_rounds=10**8, mu=0.065, delta=0.8397, qber=0.01, variant=variant)
+        assert isinstance(config, RateParams)
+        params = RateParams(**{name: getattr(config, name) for name in rate_fields})
+        got, want = finite_key_length(config), finite_key_length(params)
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
+        lengths[variant] = got.key_length
+    assert lengths["main"] == 0 and lengths["appendix"] > 0
+
+
+@pytest.mark.parametrize("n_parties", range(3, 7))
+def test_parameter_estimation_scores_against_the_outcomes(n_parties):
+    # c computed straight from the outcome table: Alice, Bob_1, and the
+    # parity of the other Bobs (four disclosures in all at N = 6)
+    config = _config(n_parties=n_parties, n_rounds=3000, mu=0.5, qber=0.05, delta=0.78,
+                     rng_seed=n_parties)
+    streams = _Streams.from_seed(config.rng_seed)
+    tr = reconcile(config, _measure_rounds(config, streams), streams.ec)
+    estimate_parameters(config, tr)
+    assert len(tr.disclosures) == n_parties - 1
+    test = tr.t == 1
+    a, b1 = tr.outcomes[:, 0], tr.outcomes[:, 1]
+    parity = tr.outcomes[:, 2:].sum(axis=1) % 2
+    wins = (a ^ b1) == tr.x * ((tr.y1 + parity) % 2)
+    assert np.array_equal(tr.c[test], wins[test].astype(np.int8))
+    assert (tr.c[~test] == -1).all()
+    assert set(tr.c[test].tolist()) == {0, 1}
 
 
 def test_transcript_determinism():
@@ -531,7 +629,7 @@ def test_completeness_bound_respected_empirically():
         if run_protocol(_config(rng_seed=seed, **config_kwargs)).abort is not None
     )
     bound = completeness_bound(
-        _config(rng_seed=0, **config_kwargs).rate_params(), pexp_formula(3, 0.02)
+        _config(rng_seed=0, **config_kwargs), pexp_formula(3, 0.02)
     )
     sigma = math.sqrt(bound * (1 - bound) / runs)
     assert aborts / runs <= bound + 3 * sigma

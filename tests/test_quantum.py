@@ -175,7 +175,7 @@ def test_joint_distribution_ghz_all_z():
 
 def test_joint_distribution_single_qubit():
     zero = np.diag([1.0, 0.0]).astype(complex)
-    dist = _dense_distribution(zero, [Observable("Z", PAULI_Z)])
+    dist = _dense_distribution(zero, [Observable(PAULI_Z)])
     assert abs(dist[0] - 1.0) < 1e-12
 
 
@@ -193,7 +193,7 @@ def test_joint_distribution_correlator_oracle():
 
 def test_joint_distribution_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        joint_distribution(GHZState(3), [Observable("Z", PAULI_Z)] * 2)
+        joint_distribution(GHZState(3), [Observable(PAULI_Z)] * 2)
 
 
 def test_born_rule_normalisation_all_setting_combos():
@@ -215,7 +215,7 @@ def _random_observables(rng, n):
     """n random involutions n.sigma, with Y components, as a settings list."""
     axes = rng.normal(size=(n, 3))
     axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-    return [Observable("r", ax * PAULI_X + ay * PAULI_Y + az * PAULI_Z) for ax, ay, az in axes]
+    return [Observable(ax * PAULI_X + ay * PAULI_Y + az * PAULI_Z) for ax, ay, az in axes]
 
 
 def _closed_form_classes(n, rng):
@@ -260,4 +260,4 @@ def test_ghz_state_validation():
         with pytest.raises(DomainError):
             GHZState(3, p)
     with pytest.raises(DimensionMismatchError):
-        joint_distribution(GHZState(3), [Observable("Z", PAULI_Z)] * 2)
+        joint_distribution(GHZState(3), [Observable(PAULI_Z)] * 2)
