@@ -15,10 +15,13 @@ noisy state is 1/2 sum_ij (x)_k [(1 - p)|i><j| + p delta_ij I/2] and the
 probability of outcome string b is
 
     P(b) = 1/2 Re sum_ij prod_k F_k[i, j, b_k],
-    F_k[i, j, b] = (1 - p) conj(u_k[i, b]) u_k[j, b] + p delta_ij / 2,
+    F_k[i, j, b] = (1 - p) P_{k,b}[j, i] + p delta_ij / 2,
 
-with u_k the eigenbasis of party k's observable (Tr[|i><j| P_b] =
-<j|P_b|i>).  This holds for any 2x2 observables.  Each of the four (i, j)
+with P_{k,b} = (I + (-1)**b M_k) / 2 the projector of party k's observable
+M_k onto outcome b (Tr[|i><j| P_b] = <j|P_b|i>).  The projectors come from
+the observable by one addition, with no eigendecomposition: for an
+eigenbasis u of M_k, conj(u[i, b]) u[j, b] = P_b[j, i].  This holds for any
+2x2 observables.  Each of the four (i, j)
 terms is one Kronecker chain over the parties, O(2**N) per table instead
 of the dense O(4**N) state.  Two channels compose: depolarizing with p0
 and then p is depolarizing with 1 - (1 - p0)(1 - p).
@@ -69,12 +72,6 @@ class Observable:
             raise DomainError("observable squared is not the identity")
         object.__setattr__(self, "matrix", mat)
 
-    def eigenbasis(self) -> np.ndarray:
-        """Unitary whose column 0 is the +1 eigenvector, column 1 the -1."""
-        _, vecs = np.linalg.eigh(self.matrix)
-        # eigh sorts eigenvalues ascending, so the -1 vector comes first
-        return vecs[:, ::-1]
-
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -122,13 +119,14 @@ def joint_distribution(state: GHZState, settings: Sequence[Observable]) -> np.nd
     if len(settings) != state.n_qubits:
         raise DimensionMismatchError(f"need {state.n_qubits} observables, got {len(settings)}")
     p = state.p_dep
-    bases = [obs.eigenbasis() for obs in settings]
+    # projectors[b] = (I + (-1)**b M) / 2, stacked over b = 0, 1
+    projectors = [np.stack([PAULI_I + obs.matrix, PAULI_I - obs.matrix]) / 2.0 for obs in settings]
     probs = np.zeros(2 ** len(settings))
     for i in (0, 1):
         for j in (0, 1):
             term = np.ones(1, dtype=complex)
-            for u in bases:
-                f = (1.0 - p) * u[i].conj() * u[j] + (p / 2.0 if i == j else 0.0)
+            for proj in projectors:
+                f = (1.0 - p) * proj[:, j, i] + (p / 2.0 if i == j else 0.0)
                 term = np.multiply.outer(term, f).ravel()  # kron(term, f), without its overhead
             probs += term.real
     probs *= 0.5

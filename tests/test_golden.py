@@ -115,11 +115,11 @@ CLI_CASES = {
     ),
     "game_n3": (
         "game", "n_parties = 3\nqber = 0.013\n", [],
-        "f6b195c214c288a6c021a29fbcf4d27a31e3354de5d7a475d6dc12cf44f9c680",
+        "06f596993ce41bae9618b0255d83b9adac10f9e0a6073ec0469193a548a60839",
     ),
     "game_n6": (
         "game", "n_parties = 6\nqber = 0.013\n", [],
-        "2ac351994228c4088556a257919588c0c12e5f4c8ea7955ed116b5b4bdeebb92",
+        "66e2e73419c8d8c304984770a08c9cf853f8a1113fb7e4eed66d9e8dbbaa9b01",
     ),
 }
 

@@ -51,12 +51,19 @@ def _dense_ghz(n_qubits, p=0.0):
     return _depolarize(np.outer(amp, amp.conj()), n_qubits, p)
 
 
+def _eigenbasis(obs):
+    """Unitary whose column 0 is the +1 eigenvector of the observable, column 1 the -1."""
+    _, vecs = np.linalg.eigh(obs.matrix)
+    # eigh sorts eigenvalues ascending, so the -1 vector comes first
+    return vecs[:, ::-1]
+
+
 def _dense_distribution(rho, settings):
     """Born-rule table Tr[rho (x)_k P_{b_k}] by tensordot contraction, party 0 first."""
     n = len(settings)
     t = rho.reshape((2,) * (2 * n))
     for q, obs in enumerate(settings):
-        u = obs.eigenbasis()
+        u = _eigenbasis(obs)
         t = np.moveaxis(np.tensordot(u.conj().T, t, axes=(1, q)), 0, q)
         t = np.moveaxis(np.tensordot(t, u, axes=(n + q, 0)), -1, n + q)
     probs = np.diagonal(t.reshape(2**n, 2**n)).real.copy()
