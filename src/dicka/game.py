@@ -33,10 +33,13 @@ from .quantum import (
 
 
 def parity_chsh_wins_bulk(x, y, a, b1, rest_parity) -> np.ndarray:
-    """Whether a XOR b1 == x * ((y + rest_parity) mod 2), elementwise over integer arrays."""
-    x = np.asarray(x, dtype=np.int64)
-    rhs = (x * ((np.asarray(y, dtype=np.int64) + np.asarray(rest_parity, dtype=np.int64)) % 2)) % 2
-    return (np.asarray(a, dtype=np.int64) ^ np.asarray(b1, dtype=np.int64)) == rhs
+    """Whether a XOR b1 == x * ((y + rest_parity) mod 2), elementwise over integer arrays of bits.
+
+    Computed in the inputs' own integer type: no intermediate exceeds 2, so
+    uint8 bits need no widening.
+    """
+    rhs = np.asarray(x) * ((np.asarray(y) + rest_parity) % 2) % 2
+    return (np.asarray(a) ^ np.asarray(b1)) == rhs
 
 
 def classical_value(n_parties: int) -> Fraction:

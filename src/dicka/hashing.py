@@ -14,8 +14,12 @@ share of every output sum, and the shares are added up in float64.  Every
 block share, every running total, and every partial sum inside BLAS in any
 order of addition, is an integer in [0, in_len]; float64 represents every
 integer below 2**53 exactly, so the parities are exact for every length an
-array can have.  Memory is O(_BLOCK + out_len) whatever in_len is; time is
-O(in_len * out_len).
+array can have.  Time is O(in_len * out_len).
+
+A seed keeps its diagonal packed eight bits to a byte, in the hex order
+below, so a kept seed costs (in_len + out_len) / 8 bytes; the hash unpacks
+one block's slice of it at a time.  Working memory is therefore
+O(_BLOCK + out_len) whatever in_len is.
 
 Bit strings are numpy uint8 arrays (helpers accept '01' strings too).  Hex
 serialization packs bits little-endian within each byte: bit i of the
@@ -66,37 +70,62 @@ def _check_lengths(in_len: int, out_len: int) -> None:
         raise LengthMismatchError("out_len must lie in [0, in_len]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ToeplitzSeed:
-    """Diagonal description of an out_len x in_len Toeplitz matrix over GF(2)."""
+    """Diagonal description of an out_len x in_len Toeplitz matrix over GF(2).
+
+    Built from the diagonal's in_len + out_len - 1 bits, which are checked
+    and then kept packed little-endian in ``diagonal_bytes``.
+    """
 
     in_len: int
     out_len: int
-    diagonal_bits: np.ndarray
+    diagonal_bytes: np.ndarray
 
-    def __post_init__(self) -> None:
-        _check_lengths(self.in_len, self.out_len)
-        bits = as_bits(self.diagonal_bits)
-        expected = self.in_len + self.out_len - 1
+    def __init__(self, in_len: int, out_len: int, diagonal_bits: BitsLike) -> None:
+        _check_lengths(in_len, out_len)
+        bits = as_bits(diagonal_bits)
+        expected = in_len + out_len - 1
         if bits.size != expected:
             raise LengthMismatchError(
                 f"diagonal needs {expected} bits, got {bits.size}"
             )
-        object.__setattr__(self, "diagonal_bits", bits)
+        self._fill(in_len, out_len, bits)
+
+    def _fill(self, in_len: int, out_len: int, bits: np.ndarray) -> None:
+        for name, value in (
+            ("in_len", in_len),
+            ("out_len", out_len),
+            ("diagonal_bytes", np.packbits(bits, bitorder="little")),
+        ):
+            object.__setattr__(self, name, value)
+
+    @property
+    def diagonal_bits(self) -> np.ndarray:
+        """The diagonal as a uint8 array of 0/1, unpacked on each access."""
+        return self._diagonal_slice(0, self.in_len + self.out_len - 1)
+
+    def _diagonal_slice(self, lo: int, hi: int) -> np.ndarray:
+        """Diagonal bits lo..hi - 1 (clipped at the end) as a uint8 array of 0/1."""
+        hi = min(hi, self.in_len + self.out_len - 1)
+        first = lo // 8
+        bits = np.unpackbits(self.diagonal_bytes[first:(hi + 7) // 8], bitorder="little")
+        return bits[lo - 8 * first:hi - 8 * first]
 
 
 def random_seed(in_len: int, out_len: int, rng: np.random.Generator) -> ToeplitzSeed:
     """Draw a fresh seed with uniformly random diagonal bits.
 
-    The drawn diagonal is a uint8 array of 0/1 of the right length by
-    construction, so the seed is built without the bit check that
-    ``ToeplitzSeed(...)`` runs on bits from outside.
+    The bits come from one uint8 ``integers`` call: that draw gives other
+    values when split into chunks, so it is never split.  The drawn
+    diagonal is a uint8 array of 0/1 of the right length by construction,
+    so the seed is built without the bit check that ``ToeplitzSeed(...)``
+    runs on bits from outside.
     """
     _check_lengths(in_len, out_len)
     bits = rng.integers(0, 2, size=in_len + out_len - 1, dtype=np.uint8)
     seed = object.__new__(ToeplitzSeed)
-    for name, value in (("in_len", in_len), ("out_len", out_len), ("diagonal_bits", bits)):
-        object.__setattr__(seed, name, value)
+    seed._fill(in_len, out_len, bits)
     return seed
 
 
@@ -119,12 +148,12 @@ def toeplitz_hash(seed: ToeplitzSeed, input: BitsLike) -> np.ndarray:
         raise LengthMismatchError(f"input has {bits.size} bits, seed expects {in_len}")
     if out_len == 0:
         return np.zeros(0, dtype=np.uint8)
-    rev, diag = bits[::-1], seed.diagonal_bits
+    rev = bits[::-1]
 
     def block_sums(m0: int) -> np.ndarray:
-        # slicing clips at the ends, which is exactly the last block's extent
+        # both slices clip at the ends, which is exactly the last block's extent
         return np.correlate(
-            diag[m0:m0 + _BLOCK + out_len - 1].astype(np.float64),
+            seed._diagonal_slice(m0, m0 + _BLOCK + out_len - 1).astype(np.float64),
             rev[m0:m0 + _BLOCK].astype(np.float64),
             "valid",
         )

@@ -23,10 +23,12 @@ configuration, never on earlier outcomes.
 Rounds are sampled and serialized in chunks of ``_CHUNK`` rounds, and
 hashed in blocks (see :mod:`dicka.hashing`), so the int64 and float64
 temporaries of those stages are bounded by the chunk, not by the run.  What
-grows with the round count is the transcript's arrays (N + 4 bytes per
-round), Alice's raw key (one byte per round; the Bobs' oracle keys share
-it), the EC and PA seeds (one byte per bit) and the Bobs' test-round
-disclosures: about 11 bytes per round at N = 3 and mu = 0.05.
+grows with the round count is the transcript's two bytes per round (the
+round's class and its outcome index, see :class:`Transcript`; two bytes
+for the index from N = 9 on), Alice's raw key (one byte per round; the
+Bobs' oracle keys share it), the EC and PA seeds (one bit per diagonal
+bit) and, for the tested fraction mu of the rounds, the Bobs' disclosures
+and the wins: about 3.35 bytes per round at N = 3 and mu = 0.05.
 
 Transcript text format (LF line endings)
 ----------------------------------------
@@ -73,6 +75,10 @@ ABORT_PE = "parameter_estimation"
 # few hundred kB whatever the run length.
 _CHUNK = 2**14
 
+# The rounds' t, x and y1 by round class: 0 is the key round (t = 0, x = 0,
+# y1 = 2) and 1 + 2x + y1 the test question (x, y1), as in _round_distributions.
+_CLASS_FIELDS = np.array([[0, 0, 2], [1, 0, 0], [1, 0, 1], [1, 1, 0], [1, 1, 1]], dtype=np.uint8)
+
 
 @dataclass(frozen=True, kw_only=True)
 class ProtocolConfig(RateParams):
@@ -101,16 +107,23 @@ class ProtocolConfig(RateParams):
 
 @dataclass
 class Transcript:
-    """Complete record of one protocol run (built up in stages)."""
+    """Complete record of one protocol run (built up in stages).
+
+    Each round is kept as two numbers: its class (uint8; 0 for a key round,
+    1 + 2x + y1 for a test question) and the index of its outcome string
+    (party 0 in the most significant bit, in the narrowest unsigned type
+    that holds 2**N - 1).  Once parameter estimation has run, ``wins`` holds
+    one uint8 0/1 per test round, in round order.  The per-round fields
+    ``t``, ``x``, ``y1``, ``outcomes`` and ``c`` are decoded from these on
+    each access, as full-length arrays.
+    """
 
     n_parties: int
     n_rounds: int
     rng_seed: int
-    t: np.ndarray
-    x: np.ndarray
-    y1: np.ndarray
-    outcomes: np.ndarray
-    c: np.ndarray
+    round_class: np.ndarray
+    outcome_index: np.ndarray
+    wins: Optional[np.ndarray] = None
     ec_seed: Optional[ToeplitzSeed] = None
     ec_tag: Optional[np.ndarray] = None
     disclosures: Optional[list[np.ndarray]] = None
@@ -121,14 +134,46 @@ class Transcript:
     pe_vacuous: bool = False
 
     @property
+    def t(self) -> np.ndarray:
+        """uint8 per round: 1 on test rounds, 0 on key rounds."""
+        return _CLASS_FIELDS[self.round_class, 0]
+
+    @property
+    def x(self) -> np.ndarray:
+        """uint8 per round: Alice's input, 0 on key rounds."""
+        return _CLASS_FIELDS[self.round_class, 1]
+
+    @property
+    def y1(self) -> np.ndarray:
+        """uint8 per round: Bob_1's input, 2 on key rounds."""
+        return _CLASS_FIELDS[self.round_class, 2]
+
+    @property
+    def outcomes(self) -> np.ndarray:
+        """uint8 (n_rounds, n_parties) outcome bits, Alice first."""
+        return outcome_bits(self.outcome_index, self.n_parties)
+
+    @property
+    def c(self) -> np.ndarray:
+        """int8 per round: 1 (win) or 0 (loss) on scored test rounds, -1 elsewhere."""
+        c = np.full(self.n_rounds, -1, dtype=np.int8)
+        if self.wins is not None:
+            c[np.flatnonzero(self.round_class)] = self.wins
+        return c
+
+    def party_bits(self, party: int, rows=slice(None)) -> np.ndarray:
+        """uint8 outcome bits of one party (0 is Alice) on the given rounds."""
+        bits = self.outcome_index[rows] >> (self.n_parties - 1 - party)
+        bits &= 1
+        return bits.astype(np.uint8, copy=False)
+
+    @property
     def n_test_rounds(self) -> int:
-        return int(self.t.sum())
+        return int(np.count_nonzero(self.round_class))
 
     @property
     def n_wins(self) -> Optional[int]:
-        if (self.c >= 0).any():
-            return int((self.c == 1).sum())
-        return None
+        return None if self.wins is None else int(self.wins.sum())
 
     @property
     def win_rate(self) -> Optional[float]:
@@ -172,18 +217,12 @@ class Transcript:
             sink.write(chunk)
         lines = []
         if self.ec_seed is not None:
-            lines.append(
-                f"EC_SEED {self.ec_seed.in_len} {self.ec_seed.out_len} "
-                f"{bits_to_hex(self.ec_seed.diagonal_bits)}"
-            )
+            lines.append(_seed_line("EC_SEED", self.ec_seed))
             lines.append(f"EC_TAG {len(self.ec_tag)} {bits_to_hex(self.ec_tag)}")
             for k, disc in enumerate(self.disclosures, start=1):
                 lines.append(f"EC_DISCLOSE {k} {len(disc)} {bits_to_hex(disc)}")
         if self.pa_seed is not None:
-            lines.append(
-                f"PA_SEED {self.pa_seed.in_len} {self.pa_seed.out_len} "
-                f"{bits_to_hex(self.pa_seed.diagonal_bits)}"
-            )
+            lines.append(_seed_line("PA_SEED", self.pa_seed))
         lines.append("SUMMARY " + json.dumps(self.summary(), sort_keys=True))
         sink.write("".join(line + "\n" for line in lines).encode("ascii"))
         return str(sink.getbuffer(), "ascii") if out is None else None
@@ -191,7 +230,8 @@ class Transcript:
     def _round_lines(self) -> Iterator[np.ndarray]:
         """The round lines, each ending in LF, as flat uint8 byte arrays.
 
-        Each array holds the lines of one chunk of at most ``_CHUNK`` rounds.
+        Each array holds the lines of one chunk of at most ``_CHUNK`` rounds,
+        decoded from the compact round store for that chunk only.
 
         Every field after the round index is one ASCII character, so the line
         tail ``" t x y1 a <bobs> c\\n"`` of a chunk is a fixed-width row,
@@ -200,16 +240,23 @@ class Transcript:
         of rows d characters wider than the tail, and the blocks lie back to
         back in the chunk's buffer.
         """
-        n_bobs = self.outcomes.shape[1] - 1
-        width = n_bobs + 12
+        width = self.n_parties + 11
+        scored = 0  # test rounds, and so wins, in the chunks before this one
         for s in _chunks(self.n_rounds):
             lo, hi = s.start, s.stop
+            cls = self.round_class[s]
+            bits = outcome_bits(self.outcome_index[s], self.n_parties)
             tail = np.full((hi - lo, width), ord(" "), dtype=np.uint8)
-            tail[:, 1:8:2] = np.column_stack([self.t[s], self.x[s], self.y1[s], self.outcomes[s, 0]])
-            tail[:, 9:-3] = self.outcomes[s, 1:]
+            tail[:, 1:6:2] = _CLASS_FIELDS[cls]
+            tail[:, 7] = bits[:, 0]
+            tail[:, 9:-3] = bits[:, 1:]
             tail[:, 1:8:2] += ord("0")
             tail[:, 9:-3] += ord("0")
-            tail[:, -2] = np.frombuffer(b"-01", dtype=np.uint8)[self.c[s] + 1]
+            tail[:, -2] = ord("-")
+            if self.wins is not None:
+                tests = np.flatnonzero(cls)
+                tail[tests, -2] = self.wins[scored:scored + len(tests)] + ord("0")
+                scored += len(tests)
             tail[:, -1] = ord("\n")
 
             # the index widths present in [lo, hi) and the powers of ten between them
@@ -226,6 +273,11 @@ class Transcript:
                 block[:, d:] = tail[a - lo:b - lo]
                 offset += block.size
             yield buf
+
+
+def _seed_line(name: str, seed: ToeplitzSeed) -> str:
+    """``<name> <in_len> <out_len> <hex>``, the hex written straight from the packed diagonal."""
+    return f"{name} {seed.in_len} {seed.out_len} {seed.diagonal_bytes.tobytes().hex()}"
 
 
 def read_summary(text: str) -> dict:
@@ -279,45 +331,41 @@ def _chunks(n: int) -> list[slice]:
 def _measure_rounds(config: ProtocolConfig, streams: _Streams) -> Transcript:
     """Protocol steps 1-2: state preparation, input choice, measurement.
 
-    The kept uint8 arrays are allocated once and filled ``_CHUNK`` rounds at
-    a time, so the int64 and float64 temporaries of sampling exist for one
-    chunk only.  Each stream is drawn in the order a one-shot draw would
-    use (all of ``x`` before all of ``y1`` from ``inputs``), and
-    ``Generator.random`` and int64 ``integers(0, 2)`` give the same values
-    in chunks as in one call, so the rounds do not depend on ``_CHUNK``.
+    The transcript's class and outcome-index arrays are allocated once and
+    filled ``_CHUNK`` rounds at a time, so the int64 and float64
+    temporaries of sampling exist for one chunk only.  Each stream is drawn
+    in the order a one-shot draw would use (all of ``x`` before all of
+    ``y1`` from ``inputs``), and ``Generator.random`` and int64
+    ``integers(0, 2)`` give the same values in chunks as in one call, so the
+    rounds do not depend on ``_CHUNK``.  The raw ``x`` and ``y1`` draws wait
+    in the class and index arrays until their chunk is sampled.
     """
     n, n_par = config.n_rounds, config.n_parties
-    tr = Transcript(
-        n_parties=n_par,
-        n_rounds=n,
-        rng_seed=config.rng_seed,
-        t=np.empty(n, dtype=np.uint8),
-        x=np.empty(n, dtype=np.uint8),
-        y1=np.empty(n, dtype=np.uint8),
-        outcomes=np.empty((n, n_par), dtype=np.uint8),
-        c=np.full(n, -1, dtype=np.int8),
-    )
+    round_class = np.empty(n, dtype=np.uint8)
+    outcome_index = np.empty(n, dtype=np.min_scalar_type(2**n_par - 1))
     chunks = _chunks(n)
-    for raw in (tr.x, tr.y1):
+    for raw in (round_class, outcome_index):
         for s in chunks:
             raw[s] = streams.inputs.integers(0, 2, size=s.stop - s.start)
 
     tables = _round_distributions(n_par, config.qber)
     for s in chunks:
-        size = s.stop - s.start
-        test = streams.tests.random(size) < config.mu
-        tr.t[s] = test
-        tr.x[s] *= test
-        tr.y1[s][~test] = 2
-        cls = np.where(test, 1 + 2 * tr.x[s].astype(np.int64) + tr.y1[s], 0)
-        u = streams.outcomes.random(size)
-        idx = np.zeros(size, dtype=np.int64)
+        test = streams.tests.random(s.stop - s.start) < config.mu
+        cls = np.where(test, 1 + 2 * round_class[s].astype(np.int64) + outcome_index[s], 0)
+        round_class[s] = cls
+        u = streams.outcomes.random(s.stop - s.start)
+        idx = outcome_index[s]  # a view: every round is in one class, so all of it is written
         for cid, cum in tables.items():
             mask = cls == cid
             if mask.any():
                 idx[mask] = np.minimum(np.searchsorted(cum, u[mask], side="right"), len(cum) - 1)
-        tr.outcomes[s] = outcome_bits(idx, n_par)
-    return tr
+    return Transcript(
+        n_parties=n_par,
+        n_rounds=n,
+        rng_seed=config.rng_seed,
+        round_class=round_class,
+        outcome_index=outcome_index,
+    )
 
 
 def _tag_length(eps_ec_prime: float, n_rounds: int) -> int:
@@ -341,7 +389,7 @@ def reconcile(
     corruption experiments; any verification failure aborts the run.
     """
     n, n_par = transcript.n_rounds, transcript.n_parties
-    alice = transcript.outcomes[:, 0].copy()
+    alice = transcript.party_bits(0)
     if bob_keys is None:
         # every oracle-corrected Bob holds Alice's string: share it, read-only
         oracle = alice.view()
@@ -349,8 +397,9 @@ def reconcile(
         bob_keys = [oracle] * (n_par - 1)
     elif len(bob_keys) != n_par - 1:
         raise LengthMismatchError(f"need {n_par - 1} Bob keys, got {len(bob_keys)}")
-    tests = np.flatnonzero(transcript.t)
-    transcript.disclosures = [transcript.outcomes[tests, k] for k in range(1, n_par)]
+    tests = np.flatnonzero(transcript.round_class)
+    transcript.disclosures = [transcript.party_bits(k, tests) for k in range(1, n_par)]
+    del tests  # eight bytes per test round, not held through the seed draw and the hashes
     transcript.raw_keys = [alice] + list(bob_keys)
     if n == 0:
         return transcript
@@ -374,19 +423,19 @@ def estimate_parameters(config: ProtocolConfig, transcript: Transcript) -> Trans
     """
     if transcript.disclosures is None:
         raise InvalidInputError("reconciliation must run before parameter estimation")
-    tests = np.flatnonzero(transcript.t)
+    tests = np.flatnonzero(transcript.round_class)
     n_tests = len(tests)
     if n_tests == 0:
         transcript.pe_vacuous = True
         return transcript
-    a = transcript.outcomes[tests, 0]
+    _, x, y1 = _CLASS_FIELDS[transcript.round_class[tests]].T
+    a = transcript.party_bits(0, tests)
     b1, *rest = transcript.disclosures
     rest_parity = np.bitwise_xor.reduce(rest)
-    wins = parity_chsh_wins_bulk(transcript.x[tests], transcript.y1[tests], a, b1, rest_parity)
-    transcript.c[tests] = wins
+    transcript.wins = parity_chsh_wins_bulk(x, y1, a, b1, rest_parity).view(np.uint8)
     # tiny slack so a float representation of delta cannot turn an
     # exact-threshold pass into an abort (e.g. 80 wins of 100 at delta=0.8)
-    if int(wins.sum()) < config.delta * n_tests - 1e-9:
+    if transcript.n_wins < config.delta * n_tests - 1e-9:
         transcript.abort = ABORT_PE
     return transcript
 

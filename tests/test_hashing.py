@@ -69,6 +69,34 @@ def test_matrix_matches_oracle_randomised():
         assert np.array_equal(toeplitz_hash(seed, u), (oracle.astype(np.int64) @ u) % 2)
 
 
+def test_hash_matches_oracle_across_the_block_edge():
+    # the real _BLOCK, so the packed diagonal is unpacked in slices that start
+    # on byte edges and end anywhere
+    rng = np.random.Generator(np.random.PCG64(53))
+    block = hashing._BLOCK
+    for in_len in (block - 1, block, block + 1):
+        for out_len in (1, 27, 129):
+            seed = random_seed(in_len, out_len, rng)
+            oracle = _oracle_matrix(in_len, out_len, seed.diagonal_bits)
+            for u in (np.ones(in_len, dtype=np.uint8), rng.integers(0, 2, size=in_len, dtype=np.uint8)):
+                want = np.count_nonzero(oracle & u, axis=1) % 2
+                assert np.array_equal(toeplitz_hash(seed, u), want)
+
+
+def test_packed_diagonal_round_trips():
+    rng = np.random.Generator(np.random.PCG64(59))
+    for in_len, out_len in ((1, 0), (1, 1), (2, 1), (5, 3), (8, 1), (9, 8), (64, 64), (1000, 27)):
+        bits = rng.integers(0, 2, size=in_len + out_len - 1, dtype=np.uint8)
+        seed = ToeplitzSeed(in_len, out_len, bits)
+        assert seed.diagonal_bits.dtype == np.uint8
+        assert np.array_equal(seed.diagonal_bits, bits)
+        # kept packed little-endian, the transcript's hex order, zero-padded
+        assert len(seed.diagonal_bytes) == (bits.size + 7) // 8
+        assert seed.diagonal_bytes.tobytes().hex() == bits_to_hex(bits)
+        again = ToeplitzSeed(in_len, out_len, seed.diagonal_bits)
+        assert np.array_equal(again.diagonal_bytes, seed.diagonal_bytes)
+
+
 def test_large_hash_runs_in_bounded_memory():
     # a dense int64 matrix of this shape would take 8 GB
     rng = np.random.Generator(np.random.PCG64(41))
@@ -203,6 +231,7 @@ def test_outside_seed_is_checked_and_drawn_seed_matches_it():
         assert (drawn.in_len, drawn.out_len) == (checked.in_len, checked.out_len)
         assert drawn.diagonal_bits.dtype == checked.diagonal_bits.dtype == np.uint8
         assert np.array_equal(drawn.diagonal_bits, checked.diagonal_bits)
+        assert np.array_equal(drawn.diagonal_bytes, checked.diagonal_bytes)
 
 
 def test_as_bits_checks_values_before_the_cast():

@@ -179,20 +179,19 @@ def test_full_testing_discloses_everything():
 
 
 def _synthetic_testing_transcript(wins, losses):
-    """All-test-round transcript with x = 0 so a win means a == b1."""
+    """All-test-round transcript with x = y1 = 0 so a win means a == b1."""
     n = wins + losses
-    outcomes = np.zeros((n, 3), dtype=np.uint8)
-    outcomes[wins:, 1] = 1  # b1 disagrees with a on the losing rounds
+    outcome_index = np.zeros(n, dtype=np.uint8)
+    outcome_index[wins:] = 0b010  # b1 disagrees with a on the losing rounds
     tr = Transcript(
         n_parties=3,
         n_rounds=n,
         rng_seed=0,
-        t=np.ones(n, dtype=np.uint8),
-        x=np.zeros(n, dtype=np.uint8),
-        y1=np.zeros(n, dtype=np.uint8),
-        outcomes=outcomes,
-        c=np.full(n, -1, dtype=np.int8),
+        round_class=np.ones(n, dtype=np.uint8),  # the question x = 0, y1 = 0
+        outcome_index=outcome_index,
     )
+    outcomes = tr.outcomes
+    assert (tr.t == 1).all() and (tr.x == 0).all() and (tr.y1 == 0).all()
     tr.raw_keys = [outcomes[:, 0].copy()] * 3
     tr.disclosures = [outcomes[:, 1].copy(), outcomes[:, 2].copy()]
     return tr
@@ -395,10 +394,11 @@ def test_protocol_config_is_rate_params():
     assert lengths["main"] == 0 and lengths["appendix"] > 0
 
 
-@pytest.mark.parametrize("n_parties", range(3, 7))
+@pytest.mark.parametrize("n_parties", [3, 4, 5, 6, 9, MAX_QUBITS])
 def test_parameter_estimation_scores_against_the_outcomes(n_parties):
     # c computed straight from the outcome table: Alice, Bob_1, and the
-    # parity of the other Bobs (four disclosures in all at N = 6)
+    # parity of the other Bobs (four disclosures in all at N = 6); from
+    # N = 9 on the outcome indices are kept as uint16
     config = _config(n_parties=n_parties, n_rounds=3000, mu=0.5, qber=0.05, delta=0.78,
                      rng_seed=n_parties)
     streams = _Streams.from_seed(config.rng_seed)
@@ -406,6 +406,9 @@ def test_parameter_estimation_scores_against_the_outcomes(n_parties):
     estimate_parameters(config, tr)
     assert len(tr.disclosures) == n_parties - 1
     test = tr.t == 1
+    assert np.array_equal(tr.raw_keys[0], tr.outcomes[:, 0])
+    for k, disclosed in enumerate(tr.disclosures, start=1):
+        assert disclosed.dtype == np.uint8 and np.array_equal(disclosed, tr.outcomes[test, k])
     a, b1 = tr.outcomes[:, 0], tr.outcomes[:, 1]
     parity = tr.outcomes[:, 2:].sum(axis=1) % 2
     wins = (a ^ b1) == tr.x * ((tr.y1 + parity) % 2)
@@ -454,12 +457,13 @@ def test_read_summary_takes_the_last_summary_line():
 def _oracle_serialize_rounds(tr):
     """Round lines built one f-string per round: the reference for the byte builder."""
     lines = []
-    bobs_cols = tr.outcomes[:, 1:] if tr.n_rounds else np.zeros((0, 0), dtype=np.uint8)
+    # the fields are decoded from the compact store on each access: once here
+    t, x, y1, outcomes, c = tr.t, tr.x, tr.y1, tr.outcomes, tr.c
     for i in range(tr.n_rounds):
-        bobs = "".join(str(int(b)) for b in bobs_cols[i])
+        bobs = "".join(str(int(b)) for b in outcomes[i, 1:])
         lines.append(
-            f"{i} {int(tr.t[i])} {int(tr.x[i])} {int(tr.y1[i])} "
-            f"{int(tr.outcomes[i, 0])} {bobs} {_C_CHAR[int(tr.c[i])]}"
+            f"{i} {int(t[i])} {int(x[i])} {int(y1[i])} "
+            f"{int(outcomes[i, 0])} {bobs} {_C_CHAR[int(c[i])]}"
         )
     return "".join(line + "\n" for line in lines)
 
@@ -520,7 +524,7 @@ def _oracle_measure_rounds(config, streams):
     return t, x, y1, outcome_bits(idx, n_par)
 
 
-@pytest.mark.parametrize("n_parties", range(3, 7))
+@pytest.mark.parametrize("n_parties", [3, 4, 5, 6, 9])
 def test_chunked_rounds_match_one_shot_oracle(n_parties):
     for n_rounds in (_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 17):
         config = _config(
@@ -578,6 +582,24 @@ def test_run_and_serialize_hold_bounded_memory(tmp_path):
         tracemalloc.stop()
     assert tr.abort is None and tr.keys_identical
     assert peak < 20 * 2**20
+
+
+def test_run_keeps_about_three_bytes_per_round():
+    # kept: the round class and outcome index (one byte each at N = 3),
+    # Alice's key, the packed EC and PA seeds, and the disclosures and wins
+    # of the tested 5 %; the peak adds one uint8 seed draw and the fixed
+    # working memory of sampling and hashing
+    config = _config(n_rounds=10**6, mu=0.05, qber=0.02, delta=0.78, key_len=128, rng_seed=3)
+    run_protocol(dataclasses.replace(config, n_rounds=1000))  # tables and lazy imports are not per round
+    tracemalloc.start()
+    try:
+        tr = run_protocol(config)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tr.abort is None and tr.keys_identical
+    assert kept <= 3.5 * config.n_rounds
+    assert peak <= 5 * config.n_rounds
 
 
 def test_oracle_bob_keys_share_alices_string_read_only():
