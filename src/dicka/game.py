@@ -33,13 +33,13 @@ from .quantum import (
 
 
 def parity_chsh_wins_bulk(x, y, a, b1, rest_parity) -> np.ndarray:
-    """Whether a XOR b1 == x * ((y + rest_parity) mod 2), elementwise over integer arrays of bits.
+    """Whether a XOR b1 == x * ((y + rest_parity) mod 2), elementwise over arrays of bits.
 
-    Computed in the inputs' own integer type: no intermediate exceeds 2, so
-    uint8 bits need no widening.
+    Computed in uint8, where no intermediate exceeds 3: uint8 bits are used
+    as they are, with no int64 copy.
     """
-    rhs = np.asarray(x) * ((np.asarray(y) + rest_parity) % 2) % 2
-    return (np.asarray(a) ^ np.asarray(b1)) == rhs
+    x, y, a, b1, rest_parity = (np.asarray(v, dtype=np.uint8) for v in (x, y, a, b1, rest_parity))
+    return (a ^ b1) == x * ((y + rest_parity) % 2) % 2
 
 
 def classical_value(n_parties: int) -> Fraction:
