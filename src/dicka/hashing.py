@@ -8,18 +8,21 @@ matrix-vector product.
 The matrix is never built.  Output bit j is the parity of
 sum_i diagonal_bits[j - i + in_len - 1] * input[i], which is entry j of the
 sliding dot product of the diagonal with the reversed input.  The reversed
-input is taken in blocks of ``_BLOCK`` bits; one float64 ``np.correlate``
+input is taken in blocks of ``_BLOCK`` bits; one float32 ``np.correlate``
 of a block against the matching slice of the diagonal gives that block's
-share of every output sum, and the shares are added up in float64.  Every
-block share, every running total, and every partial sum inside BLAS in any
-order of addition, is an integer in [0, in_len]; float64 represents every
-integer below 2**53 exactly, so the parities are exact for every length an
-array can have.  Time is O(in_len * out_len).
+share of every output sum.  Each share is cast to int64 and the shares are
+added up in int64.  Exactness is proved, not measured: every product is 0
+or 1, so every partial sum inside a block's correlation is an integer in
+[0, _BLOCK], in whatever order BLAS adds the terms; IEEE single precision
+represents every integer up to 2**24 exactly, so each share is exact while
+``_BLOCK`` <= 2**24; and the int64 running totals lie in [0, in_len], exact
+for every length an array can have.  Time is O(in_len * out_len).
 
 A seed keeps its diagonal packed eight bits to a byte, in the hex order
-below, so a kept seed costs (in_len + out_len) / 8 bytes; the hash unpacks
-one block's slice of it at a time.  Working memory is therefore
-O(_BLOCK + out_len) whatever in_len is.
+below, so a kept seed costs (in_len + out_len) / 8 bytes; it is drawn, and
+the hash unpacks it, one chunk at a time.  A hash's working memory is
+therefore about 4 * (_BLOCK + out_len) bytes of float32 block operands
+plus 8 * out_len bytes of int64 sums, whatever in_len is.
 
 Bit strings are numpy uint8 arrays (helpers accept '01' strings too).  Hex
 serialization packs bits little-endian within each byte: bit i of the
@@ -37,10 +40,16 @@ from .errors import LengthMismatchError
 
 BitsLike = Union[str, Sequence[int], np.ndarray]
 
-# Input bits per correlate call.  A call's float64 operands take about
-# 16 * _BLOCK + 8 * out_len bytes, so a hash's working memory does not grow
-# with in_len (1 MB at this size for a short output).
+# Input bits per correlate call.  Must stay <= 2**24: a block's sums reach
+# _BLOCK, and float32 holds every integer up to 2**24 exactly.  A call's
+# float32 operands take about 8 * _BLOCK + 4 * out_len bytes (0.5 MB at
+# this size for a short output), whatever in_len is.
 _BLOCK = 2**16
+
+# Diagonal bits per draw in random_seed: a multiple of 8, so each chunk
+# packs into whole bytes, and hence of 4, the lengths at which numpy's
+# buffered uint8 draws give the one-shot values when split.
+_SEED_CHUNK = 2**16
 
 
 def as_bits(bits: BitsLike) -> np.ndarray:
@@ -70,12 +79,13 @@ def _check_lengths(in_len: int, out_len: int) -> None:
         raise LengthMismatchError("out_len must lie in [0, in_len]")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class ToeplitzSeed:
     """Diagonal description of an out_len x in_len Toeplitz matrix over GF(2).
 
     Built from the diagonal's in_len + out_len - 1 bits, which are checked
-    and then kept packed little-endian in ``diagonal_bytes``.
+    and then kept packed little-endian in ``diagonal_bytes``.  Two seeds are
+    equal when their lengths and diagonals are.
     """
 
     in_len: int
@@ -90,15 +100,24 @@ class ToeplitzSeed:
             raise LengthMismatchError(
                 f"diagonal needs {expected} bits, got {bits.size}"
             )
-        self._fill(in_len, out_len, bits)
+        self._fill(in_len, out_len, np.packbits(bits, bitorder="little"))
 
-    def _fill(self, in_len: int, out_len: int, bits: np.ndarray) -> None:
+    def _fill(self, in_len: int, out_len: int, diagonal_bytes: np.ndarray) -> None:
         for name, value in (
             ("in_len", in_len),
             ("out_len", out_len),
-            ("diagonal_bytes", np.packbits(bits, bitorder="little")),
+            ("diagonal_bytes", diagonal_bytes),
         ):
             object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        # the generated __eq__ would compare the byte arrays inside a tuple,
+        # which raises for more than one byte
+        if not isinstance(other, ToeplitzSeed):
+            return NotImplemented
+        return (self.in_len, self.out_len) == (other.in_len, other.out_len) and bool(
+            np.array_equal(self.diagonal_bytes, other.diagonal_bytes)
+        )
 
     @property
     def diagonal_bits(self) -> np.ndarray:
@@ -116,16 +135,24 @@ class ToeplitzSeed:
 def random_seed(in_len: int, out_len: int, rng: np.random.Generator) -> ToeplitzSeed:
     """Draw a fresh seed with uniformly random diagonal bits.
 
-    The bits come from one uint8 ``integers`` call: that draw gives other
-    values when split into chunks, so it is never split.  The drawn
-    diagonal is a uint8 array of 0/1 of the right length by construction,
-    so the seed is built without the bit check that ``ToeplitzSeed(...)``
-    runs on bits from outside.
+    The bits come from uint8 ``integers`` calls of ``_SEED_CHUNK`` bits
+    each, the last one shorter, and each chunk is packed into its place in
+    ``diagonal_bytes`` as it is drawn, so no full-length unpacked diagonal
+    is held.  The chunks give the values of one call over the whole
+    diagonal, because numpy draws uint8 values four to a 32-bit word and
+    every chunk but the last is a whole number of words.  The drawn bits
+    are 0/1 of the right length by construction, so the seed is built
+    without the bit check that ``ToeplitzSeed(...)`` runs on bits from
+    outside.
     """
     _check_lengths(in_len, out_len)
-    bits = rng.integers(0, 2, size=in_len + out_len - 1, dtype=np.uint8)
+    n_bits = in_len + out_len - 1
+    packed = np.empty((n_bits + 7) // 8, dtype=np.uint8)
+    for lo in range(0, n_bits, _SEED_CHUNK):
+        bits = rng.integers(0, 2, size=min(_SEED_CHUNK, n_bits - lo), dtype=np.uint8)
+        packed[lo // 8:(lo + bits.size + 7) // 8] = np.packbits(bits, bitorder="little")
     seed = object.__new__(ToeplitzSeed)
-    seed._fill(in_len, out_len, bits)
+    seed._fill(in_len, out_len, packed)
     return seed
 
 
@@ -136,11 +163,13 @@ def toeplitz_hash(seed: ToeplitzSeed, input: BitsLike) -> np.ndarray:
     sum_k diagonal_bits[j + k] * r[k].  The k in one block [m0, m1) of r
     contribute ``correlate(diagonal_bits[m0:m1 + out_len - 1], r[m0:m1],
     "valid")[j]``, so the blocks' correlations add up to the row sums.  The
-    terms are 0 or 1, so each block's sums, every partial sum inside a
-    correlation and every running total is an integer in [0, in_len], which
-    float64 holds exactly (in_len < 2**53): the result does not depend on
-    the block size or on the order in which BLAS adds the terms, and its
-    remainder mod 2 (``fmod`` is exact) is the GF(2) product.
+    terms are 0 or 1, so every partial sum inside a block's float32
+    correlation is an integer in [0, _BLOCK], in whatever order BLAS adds
+    them, and float32 holds each exactly because _BLOCK <= 2**24.  The
+    block sums are cast to int64 and added in int64, so the running totals,
+    integers in [0, in_len], are exact too.  The result therefore does not
+    depend on the block size or on the order of addition, and the low bit
+    of each total (``& 1``) is the GF(2) product.
     """
     bits = as_bits(input)
     in_len, out_len = seed.in_len, seed.out_len
@@ -153,15 +182,15 @@ def toeplitz_hash(seed: ToeplitzSeed, input: BitsLike) -> np.ndarray:
     def block_sums(m0: int) -> np.ndarray:
         # both slices clip at the ends, which is exactly the last block's extent
         return np.correlate(
-            seed._diagonal_slice(m0, m0 + _BLOCK + out_len - 1).astype(np.float64),
-            rev[m0:m0 + _BLOCK].astype(np.float64),
+            seed._diagonal_slice(m0, m0 + _BLOCK + out_len - 1).astype(np.float32),
+            rev[m0:m0 + _BLOCK].astype(np.float32),
             "valid",
-        )
+        ).astype(np.int64)
 
     acc = block_sums(0)
     for m0 in range(_BLOCK, in_len, _BLOCK):
         acc += block_sums(m0)
-    return np.fmod(acc, 2).astype(np.uint8)
+    return (acc & 1).astype(np.uint8)
 
 
 def verify_hash(seed: ToeplitzSeed, candidate: BitsLike, tag: BitsLike) -> bool:

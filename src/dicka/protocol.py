@@ -105,7 +105,7 @@ class ProtocolConfig(RateParams):
             )
 
 
-@dataclass
+@dataclass(eq=False)
 class Transcript:
     """Complete record of one protocol run (built up in stages).
 
@@ -115,7 +115,9 @@ class Transcript:
     that holds 2**N - 1).  Once parameter estimation has run, ``wins`` holds
     one uint8 0/1 per test round, in round order.  The per-round fields
     ``t``, ``x``, ``y1``, ``outcomes`` and ``c`` are decoded from these on
-    each access, as full-length arrays.
+    each access, as full-length arrays.  Transcripts compare by identity
+    (the generated ``==`` would raise on the array fields); compare their
+    ``serialize()`` output to compare runs.
     """
 
     n_parties: int

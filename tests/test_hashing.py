@@ -154,6 +154,59 @@ def test_long_input_hash_holds_bounded_memory():
     assert np.array_equal(out, _one_shot_hash(seed, x))
 
 
+def test_hash_block_operands_are_single_precision():
+    # float32 block operands of _BLOCK input bits and their diagonal slice:
+    # about 0.5 MB here, where float64 ones took 1 MB
+    rng = np.random.Generator(np.random.PCG64(61))
+    in_len, out_len = 2 * 10**6, 27
+    seed = random_seed(in_len, out_len, rng)
+    x = rng.integers(0, 2, size=in_len, dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        out = toeplitz_hash(seed, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * 2**20
+    assert np.array_equal(out, _one_shot_hash(seed, x))
+
+
+def test_block_keeps_float32_sums_exact():
+    # the exactness proof in toeplitz_hash needs every block sum, at most
+    # _BLOCK, to be an integer float32 holds exactly
+    assert 1 <= hashing._BLOCK <= 2**24
+    assert float(np.float32(2**24)) == 2**24 and np.float32(2**24) + np.float32(1) == 2**24
+
+
+def test_random_seed_draws_in_bounded_memory():
+    # the packed diagonal is (in_len + out_len) / 8 bytes; a one-shot uint8
+    # draw would add a byte per bit, 2 MB here
+    in_len, out_len = 2 * 10**6, 27
+    rng = np.random.Generator(np.random.PCG64(67))
+    random_seed(10, 1, rng)  # lazy set-up on the first draw is not per bit
+    tracemalloc.start()
+    try:
+        seed = random_seed(in_len, out_len, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seed.diagonal_bytes.size == (in_len + out_len - 1 + 7) // 8
+    # plus two chunk draws (the next is drawn before the last is freed)
+    assert peak < (in_len + out_len) / 8 + 3 * hashing._SEED_CHUNK
+
+
+def test_seeds_compare_by_value():
+    assert ToeplitzSeed(4, 2, "10110") == ToeplitzSeed(4, 2, "10110")
+    assert ToeplitzSeed(4, 2, "10110") != ToeplitzSeed(4, 2, "10111")
+    assert ToeplitzSeed(4, 2, "10110") != ToeplitzSeed(5, 1, "10110")
+    assert ToeplitzSeed(4, 2, "10110") != "10110"
+    bits = np.random.Generator(np.random.PCG64(71)).integers(0, 2, size=1000 + 27 - 1, dtype=np.uint8)
+    long_seed = ToeplitzSeed(1000, 27, bits)
+    assert long_seed == ToeplitzSeed(1000, 27, bits.copy())
+    bits[-1] ^= 1
+    assert long_seed != ToeplitzSeed(1000, 27, bits)
+
+
 def test_linearity():
     rng = np.random.Generator(np.random.PCG64(11))
     for _ in range(200):
@@ -222,7 +275,9 @@ def test_outside_seed_is_checked_and_drawn_seed_matches_it():
         with pytest.raises(LengthMismatchError):
             random_seed(in_len, out_len, rng)
     # and is the seed the checked constructor builds from the same draw
-    for in_len, out_len in ((1, 0), (1, 1), (7, 3), (64, 64)):
+    # sizes below, at and above the draw's chunk
+    chunk = hashing._SEED_CHUNK
+    for in_len, out_len in ((1, 0), (1, 1), (7, 3), (64, 64), (chunk, 1), (chunk + 3, 27), (2 * chunk + 1, 100)):
         drawn = random_seed(in_len, out_len, np.random.Generator(np.random.PCG64(in_len)))
         bits = np.random.Generator(np.random.PCG64(in_len)).integers(
             0, 2, size=in_len + out_len - 1, dtype=np.uint8
@@ -232,6 +287,7 @@ def test_outside_seed_is_checked_and_drawn_seed_matches_it():
         assert drawn.diagonal_bits.dtype == checked.diagonal_bits.dtype == np.uint8
         assert np.array_equal(drawn.diagonal_bits, checked.diagonal_bits)
         assert np.array_equal(drawn.diagonal_bytes, checked.diagonal_bytes)
+        assert drawn == checked
 
 
 def test_as_bits_checks_values_before_the_cast():

@@ -419,9 +419,12 @@ def test_parameter_estimation_scores_against_the_outcomes(n_parties):
 
 def test_transcript_determinism():
     config = _config(qber=0.02, delta=0.78, key_len=64, rng_seed=31337)
-    a = run_protocol(config).serialize()
-    b = run_protocol(config).serialize()
-    assert a == b
+    tr_a, tr_b = run_protocol(config), run_protocol(config)
+    assert tr_a.serialize() == tr_b.serialize()
+    # transcripts compare by identity and their seeds by value, without raising
+    assert tr_a == tr_a and tr_a != tr_b
+    assert tr_a.ec_seed == tr_b.ec_seed and tr_a.pa_seed == tr_b.pa_seed
+    assert tr_a.ec_seed != tr_a.pa_seed
 
 
 _C_CHAR = {1: "1", 0: "0", -1: "-"}
@@ -566,6 +569,19 @@ def test_numpy_draws_are_chunk_stable():
             assert got[0].dtype == want[0].dtype
             assert all(np.array_equal(a, b) for a, b in zip(got, want)), name
 
+    # random_seed relies on this: uint8 draws come four to a 32-bit word, so
+    # they split cleanly where every chunk but the last is a multiple of 4
+    # long, and not elsewhere
+    def uint8_bits(seed, sizes):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        return np.concatenate([rng.integers(0, 2, size=size, dtype=np.uint8) for size in sizes])
+
+    for seed in (0, 7, 2**63 + 5):
+        want = uint8_bits(seed, [n])
+        for sizes in ([4] * 5 + [n - 20], [8, n - 8], [1000, 1024, n - 2024], [2**11 + 4, n - 2**11 - 4]):
+            assert np.array_equal(uint8_bits(seed, sizes), want), sizes
+        assert not np.array_equal(uint8_bits(seed, [3, n - 3]), want)
+
 
 def test_run_and_serialize_hold_bounded_memory(tmp_path):
     # the transcript's arrays and Alice's key take 8 bytes per round at N = 3;
@@ -587,8 +603,8 @@ def test_run_and_serialize_hold_bounded_memory(tmp_path):
 def test_run_keeps_about_three_bytes_per_round():
     # kept: the round class and outcome index (one byte each at N = 3),
     # Alice's key, the packed EC and PA seeds, and the disclosures and wins
-    # of the tested 5 %; the peak adds one uint8 seed draw and the fixed
-    # working memory of sampling and hashing
+    # of the tested 5 %; the peak adds the fixed working memory of sampling,
+    # seed draws and hashing
     config = _config(n_rounds=10**6, mu=0.05, qber=0.02, delta=0.78, key_len=128, rng_seed=3)
     run_protocol(dataclasses.replace(config, n_rounds=1000))  # tables and lazy imports are not per round
     tracemalloc.start()
