@@ -39,7 +39,6 @@ from .protocol import (
     Transcript,
     amplify,
     estimate_parameters,
-    read_summary,
     reconcile,
     run_protocol,
 )

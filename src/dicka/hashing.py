@@ -19,12 +19,18 @@ represents every integer up to 2**24 exactly, so each share is exact while
 for every length an array can have.  Time is O(in_len * out_len).
 
 A seed keeps its diagonal packed eight bits to a byte, in the hex order
-below, so a kept seed costs (in_len + out_len) / 8 bytes; it is drawn, and
-the hash unpacks it, one chunk at a time.  A hash's working memory is
-therefore about 4 * (_BLOCK + out_len) bytes of float32 block operands
-plus 8 * out_len bytes of int64 sums, whatever in_len is.
+below, so a kept seed costs (in_len + out_len) / 8 bytes; it is drawn one
+chunk at a time.  The hash reads its input packed the same way
+(:class:`PackedBits`): a packed input is used as it is, and 0/1 bits are
+checked and packed first.  The hash unpacks the input and the diagonal
+one block at a time, so it never holds an unpacked copy of either.  Its
+working memory is about 8 * _BLOCK + 4 * out_len bytes of float32 block
+operands (0.25 MB for a short output), 2 * _BLOCK bytes of unpacked bits
+and 8 * out_len bytes of int64 sums, whatever in_len is, plus in_len / 8
+bytes when it has to pack a 0/1 input.
 
-Bit strings are numpy uint8 arrays (helpers accept '01' strings too).  Hex
+Bit strings are numpy uint8 arrays of 0/1 (helpers accept '01' strings
+too) or, for long strings that are kept, :class:`PackedBits`.  Hex
 serialization packs bits little-endian within each byte: bit i of the
 string is bit i % 8 of byte i // 8.  Hex digits are lowercase.
 """
@@ -42,9 +48,10 @@ BitsLike = Union[str, Sequence[int], np.ndarray]
 
 # Input bits per correlate call.  Must stay <= 2**24: a block's sums reach
 # _BLOCK, and float32 holds every integer up to 2**24 exactly.  A call's
-# float32 operands take about 8 * _BLOCK + 4 * out_len bytes (0.5 MB at
-# this size for a short output), whatever in_len is.
-_BLOCK = 2**16
+# float32 operands take about 8 * _BLOCK + 4 * out_len bytes (0.25 MB at
+# this size for a short output), whatever in_len is; 2**15 rather than
+# 2**16 pays for the packed copy of a 0/1 input.
+_BLOCK = 2**15
 
 # Diagonal bits per draw in random_seed: a multiple of 8, so each chunk
 # packs into whole bytes, and hence of 4, the lengths at which numpy's
@@ -65,11 +72,40 @@ def as_bits(bits: BitsLike) -> np.ndarray:
     return arr.astype(np.uint8, copy=False)
 
 
-def bits_to_hex(bits: BitsLike) -> str:
+class PackedBits:
+    """A bit string of ``n_bits`` bits kept packed little-endian in ``data``, the hex order below.
+
+    ``data`` is a uint8 array of (n_bits + 7) // 8 bytes; the unused high
+    bits of its last byte are zero.  A plain class, so defining it costs
+    nothing at import.
+    """
+
+    __slots__ = ("n_bits", "data")
+
+    def __init__(self, n_bits: int, data: np.ndarray) -> None:
+        size = (n_bits + 7) // 8
+        if n_bits < 0 or not (isinstance(data, np.ndarray) and data.dtype == np.uint8 and data.shape == (size,)):
+            raise LengthMismatchError(f"{n_bits} packed bits need a uint8 array of {size} bytes")
+        self.n_bits = n_bits
+        self.data = data
+
+
+def pack_bits(bits: Union[BitsLike, PackedBits]) -> PackedBits:
+    """Check 0/1 bits and pack them; a :class:`PackedBits` is returned as it is."""
+    if isinstance(bits, PackedBits):
+        return bits
     arr = as_bits(bits)
-    if arr.size == 0:
-        return ""
-    return np.packbits(arr, bitorder="little").tobytes().hex()
+    return PackedBits(arr.size, np.packbits(arr, bitorder="little"))
+
+
+def _unpacked(data: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Bits lo..hi - 1 of the little-endian packed ``data`` as a uint8 array of 0/1."""
+    first = lo // 8
+    return np.unpackbits(data[first:(hi + 7) // 8], bitorder="little")[lo - 8 * first:hi - 8 * first]
+
+
+def bits_to_hex(bits: BitsLike) -> str:
+    return pack_bits(bits).data.tobytes().hex()
 
 
 def _check_lengths(in_len: int, out_len: int) -> None:
@@ -122,14 +158,7 @@ class ToeplitzSeed:
     @property
     def diagonal_bits(self) -> np.ndarray:
         """The diagonal as a uint8 array of 0/1, unpacked on each access."""
-        return self._diagonal_slice(0, self.in_len + self.out_len - 1)
-
-    def _diagonal_slice(self, lo: int, hi: int) -> np.ndarray:
-        """Diagonal bits lo..hi - 1 (clipped at the end) as a uint8 array of 0/1."""
-        hi = min(hi, self.in_len + self.out_len - 1)
-        first = lo // 8
-        bits = np.unpackbits(self.diagonal_bytes[first:(hi + 7) // 8], bitorder="little")
-        return bits[lo - 8 * first:hi - 8 * first]
+        return _unpacked(self.diagonal_bytes, 0, self.in_len + self.out_len - 1)
 
 
 def random_seed(in_len: int, out_len: int, rng: np.random.Generator) -> ToeplitzSeed:
@@ -156,8 +185,11 @@ def random_seed(in_len: int, out_len: int, rng: np.random.Generator) -> Toeplitz
     return seed
 
 
-def toeplitz_hash(seed: ToeplitzSeed, input: BitsLike) -> np.ndarray:
+def toeplitz_hash(seed: ToeplitzSeed, input: Union[BitsLike, PackedBits]) -> np.ndarray:
     """GF(2) product T @ input; output has out_len bits.
+
+    The input may be 0/1 bits or a :class:`PackedBits`; 0/1 bits are
+    checked and packed first, so both kinds go through the same blocks.
 
     With r the reversed input, entry j of the product's integer row sum is
     sum_k diagonal_bits[j + k] * r[k].  The k in one block [m0, m1) of r
@@ -171,19 +203,20 @@ def toeplitz_hash(seed: ToeplitzSeed, input: BitsLike) -> np.ndarray:
     depend on the block size or on the order of addition, and the low bit
     of each total (``& 1``) is the GF(2) product.
     """
-    bits = as_bits(input)
+    packed = pack_bits(input)
     in_len, out_len = seed.in_len, seed.out_len
-    if bits.size != in_len:
-        raise LengthMismatchError(f"input has {bits.size} bits, seed expects {in_len}")
+    if packed.n_bits != in_len:
+        raise LengthMismatchError(f"input has {packed.n_bits} bits, seed expects {in_len}")
     if out_len == 0:
         return np.zeros(0, dtype=np.uint8)
-    rev = bits[::-1]
 
     def block_sums(m0: int) -> np.ndarray:
-        # both slices clip at the ends, which is exactly the last block's extent
+        # r[m0:m1] is input bits in_len - m1 .. in_len - m0 - 1, reversed;
+        # the last block clips at in_len, and its diagonal slice with it
+        m1 = min(m0 + _BLOCK, in_len)
         return np.correlate(
-            seed._diagonal_slice(m0, m0 + _BLOCK + out_len - 1).astype(np.float32),
-            rev[m0:m0 + _BLOCK].astype(np.float32),
+            _unpacked(seed.diagonal_bytes, m0, m1 + out_len - 1).astype(np.float32),
+            _unpacked(packed.data, in_len - m1, in_len - m0)[::-1].astype(np.float32),
             "valid",
         ).astype(np.int64)
 
@@ -193,7 +226,7 @@ def toeplitz_hash(seed: ToeplitzSeed, input: BitsLike) -> np.ndarray:
     return (acc & 1).astype(np.uint8)
 
 
-def verify_hash(seed: ToeplitzSeed, candidate: BitsLike, tag: BitsLike) -> bool:
+def verify_hash(seed: ToeplitzSeed, candidate: Union[BitsLike, PackedBits], tag: BitsLike) -> bool:
     """True iff the candidate hashes to the given tag under the seed."""
     tag_bits = as_bits(tag)
     if tag_bits.size != seed.out_len:

@@ -20,15 +20,18 @@ test-round outputs are disclosed verbatim, so Alice's guesses for
 parameter estimation are exact.  State preparation depends only on the
 configuration, never on earlier outcomes.
 
-Rounds are sampled and serialized in chunks of ``_CHUNK`` rounds, and
-hashed in blocks (see :mod:`dicka.hashing`), so the int64 and float64
-temporaries of those stages are bounded by the chunk, not by the run.  What
-grows with the round count is the transcript's two bytes per round (the
-round's class and its outcome index, see :class:`Transcript`; two bytes
-for the index from N = 9 on), Alice's raw key (one byte per round; the
-Bobs' oracle keys share it), the EC and PA seeds (one bit per diagonal
-bit) and, for the tested fraction mu of the rounds, the Bobs' disclosures
-and the wins: about 3.35 bytes per round at N = 3 and mu = 0.05.
+Every stage walks the rounds in chunks: sampling, the disclosures,
+scoring and the packing of Alice's key by ``_CHUNK`` rounds, the round
+lines by ``_LINE_CHUNK``, the hex lines by ``_HEX_SLICE`` bytes, and the
+hashes by blocks (see :mod:`dicka.hashing`).  So a stage's temporaries are
+bounded by its chunk, not by the run, and a run's memory peaks at what it
+keeps plus a fixed amount.  What it keeps grows with the round count: the
+transcript's two bytes per round (the round's class and its outcome index,
+see :class:`Transcript`; two bytes for the index from N = 9 on), Alice's
+raw key packed eight bits to a byte (the Bobs' oracle keys share it), the
+EC and PA seeds (one bit per diagonal bit) and, for the tested fraction mu
+of the rounds, the Bobs' disclosures and the wins: about 2.5 bytes per
+round at N = 3 and mu = 0.05.
 
 Transcript text format (LF line endings)
 ----------------------------------------
@@ -37,7 +40,7 @@ One line per round::
     <i> <t> <x> <y1> <a> <bob bits> <c>
 
 with ``c`` printed as ``1`` (win), ``0`` (lose) or ``-`` (untested).  The
-round lines are built as uint8 byte matrices of ``_CHUNK`` rounds each (see
+round lines are built as uint8 byte matrices of ``_LINE_CHUNK`` rounds each (see
 :meth:`Transcript._round_lines`): ASCII digits, LF line ends, no locale.
 Then hex blocks (bit strings packed little-endian per byte, see
 :mod:`dicka.hashing`)::
@@ -63,17 +66,26 @@ import numpy as np
 
 from .errors import DomainError, InvalidInputError, LengthMismatchError, SizeOutOfRangeError
 from .game import honest_settings, parity_chsh_wins_bulk
-from .hashing import ToeplitzSeed, bits_to_hex, random_seed, toeplitz_hash, verify_hash
+from .hashing import PackedBits, ToeplitzSeed, bits_to_hex, pack_bits, random_seed, toeplitz_hash, verify_hash
 from .keyrate import RateParams, finite_key_length, qber_to_pdep
 from .quantum import MAX_QUBITS, GHZState, NoiseModel, depolarize_each, joint_distribution, outcome_bits
 
 ABORT_EC = "ec_failure"
 ABORT_PE = "parameter_estimation"
 
-# Rounds per chunk of sampling and serialization: large enough that numpy's
-# per-call overhead is small, small enough that a chunk's temporaries are a
-# few hundred kB whatever the run length.
+# Rounds per chunk of sampling, disclosure, scoring and key packing: large
+# enough that numpy's per-call overhead is small, small enough that a
+# chunk's temporaries are a few hundred kB whatever the run length.  A
+# multiple of 8, so each chunk of Alice's key packs into whole bytes.
 _CHUNK = 2**14
+
+# Rounds per chunk of round lines: their byte matrices take about 80 bytes
+# per round, so a smaller chunk than _CHUNK keeps them near 0.3 MB.
+_LINE_CHUNK = 2**12
+
+# Packed bytes per write of a hex line: its temporaries take about five
+# bytes per packed byte.
+_HEX_SLICE = 2**13
 
 # The rounds' t, x and y1 by round class: 0 is the key round (t = 0, x = 0,
 # y1 = 2) and 1 + 2x + y1 the test question (x, y1), as in _round_distributions.
@@ -112,10 +124,12 @@ class Transcript:
     Each round is kept as two numbers: its class (uint8; 0 for a key round,
     1 + 2x + y1 for a test question) and the index of its outcome string
     (party 0 in the most significant bit, in the narrowest unsigned type
-    that holds 2**N - 1).  Once parameter estimation has run, ``wins`` holds
-    one uint8 0/1 per test round, in round order.  The per-round fields
-    ``t``, ``x``, ``y1``, ``outcomes`` and ``c`` are decoded from these on
-    each access, as full-length arrays.  Transcripts compare by identity
+    that holds 2**N - 1).  Each Bob's disclosure holds one uint8 0/1 per
+    test round, in round order, and so, once parameter estimation has run,
+    does ``wins``.  The raw keys are packed eight bits to a byte; the
+    oracle-corrected Bobs share Alice's.  The per-round fields ``t``,
+    ``x``, ``y1``, ``outcomes`` and ``c`` are decoded from the two numbers
+    on each access, as full-length arrays.  Transcripts compare by identity
     (the generated ``==`` would raise on the array fields); compare their
     ``serialize()`` output to compare runs.
     """
@@ -129,7 +143,7 @@ class Transcript:
     ec_seed: Optional[ToeplitzSeed] = None
     ec_tag: Optional[np.ndarray] = None
     disclosures: Optional[list[np.ndarray]] = None
-    raw_keys: Optional[list[np.ndarray]] = None  # Alice first, then the Bobs
+    raw_keys: Optional[list[PackedBits]] = None  # Alice first, then the Bobs
     pa_seed: Optional[ToeplitzSeed] = None
     keys: Optional[list[np.ndarray]] = None
     abort: Optional[str] = None
@@ -210,30 +224,29 @@ class Transcript:
     def serialize(self, out: Optional[BinaryIO] = None) -> Optional[str]:
         """Write the transcript to the binary file ``out``, or return its text.
 
-        The round lines come from :meth:`_round_lines` one chunk at a time,
-        so writing to a file holds no more than one chunk of them.  With no
-        ``out`` the same bytes are gathered and returned as a ``str``.
+        The round lines come from :meth:`_round_lines` one chunk at a time
+        and the hex lines are written a slice at a time, so writing to a
+        file holds no more than one chunk of either.  With no ``out`` the
+        same bytes are gathered and returned as a ``str``.
         """
         sink = io.BytesIO() if out is None else out
         for chunk in self._round_lines():
             sink.write(chunk)
-        lines = []
         if self.ec_seed is not None:
-            lines.append(_seed_line("EC_SEED", self.ec_seed))
-            lines.append(f"EC_TAG {len(self.ec_tag)} {bits_to_hex(self.ec_tag)}")
+            _write_seed_line(sink, "EC_SEED", self.ec_seed)
+            _write_hex_line(sink, f"EC_TAG {len(self.ec_tag)} ", self.ec_tag, packed=False)
             for k, disc in enumerate(self.disclosures, start=1):
-                lines.append(f"EC_DISCLOSE {k} {len(disc)} {bits_to_hex(disc)}")
+                _write_hex_line(sink, f"EC_DISCLOSE {k} {len(disc)} ", disc, packed=False)
         if self.pa_seed is not None:
-            lines.append(_seed_line("PA_SEED", self.pa_seed))
-        lines.append("SUMMARY " + json.dumps(self.summary(), sort_keys=True))
-        sink.write("".join(line + "\n" for line in lines).encode("ascii"))
+            _write_seed_line(sink, "PA_SEED", self.pa_seed)
+        sink.write(("SUMMARY " + json.dumps(self.summary(), sort_keys=True) + "\n").encode("ascii"))
         return str(sink.getbuffer(), "ascii") if out is None else None
 
     def _round_lines(self) -> Iterator[np.ndarray]:
         """The round lines, each ending in LF, as flat uint8 byte arrays.
 
-        Each array holds the lines of one chunk of at most ``_CHUNK`` rounds,
-        decoded from the compact round store for that chunk only.
+        Each array holds the lines of one chunk of at most ``_LINE_CHUNK``
+        rounds, decoded from the compact round store for that chunk only.
 
         Every field after the round index is one ASCII character, so the line
         tail ``" t x y1 a <bobs> c\\n"`` of a chunk is a fixed-width row,
@@ -243,8 +256,7 @@ class Transcript:
         back in the chunk's buffer.
         """
         width = self.n_parties + 11
-        scored = 0  # test rounds, and so wins, in the chunks before this one
-        for s in _chunks(self.n_rounds):
+        for s, tests, scored in _test_chunks(self.round_class, _LINE_CHUNK):
             lo, hi = s.start, s.stop
             cls = self.round_class[s]
             bits = outcome_bits(self.outcome_index[s], self.n_parties)
@@ -256,9 +268,7 @@ class Transcript:
             tail[:, 9:-3] += ord("0")
             tail[:, -2] = ord("-")
             if self.wins is not None:
-                tests = np.flatnonzero(cls)
-                tail[tests, -2] = self.wins[scored:scored + len(tests)] + ord("0")
-                scored += len(tests)
+                tail[tests - lo, -2] = self.wins[scored] + ord("0")
             tail[:, -1] = ord("\n")
 
             # the index widths present in [lo, hi) and the powers of ten between them
@@ -277,22 +287,23 @@ class Transcript:
             yield buf
 
 
-def _seed_line(name: str, seed: ToeplitzSeed) -> str:
-    """``<name> <in_len> <out_len> <hex>``, the hex written straight from the packed diagonal."""
-    return f"{name} {seed.in_len} {seed.out_len} {seed.diagonal_bytes.tobytes().hex()}"
+def _write_hex_line(sink: BinaryIO, head: str, data: np.ndarray, *, packed: bool) -> None:
+    """Write ``head``, the hex of ``data`` and LF, ``_HEX_SLICE`` packed bytes at a time.
 
-
-def read_summary(text: str) -> dict:
-    """Parse the last SUMMARY line out of a serialized transcript.
-
-    Found by one reverse search, so the round lines are neither split nor
-    copied.
+    ``data`` is packed bytes, or 0/1 bits that are packed one slice at a
+    time; either way the hex is that of the whole string packed at once.
     """
-    start = text.rfind("\nSUMMARY ") + 1
-    if start == 0 and not text.startswith("SUMMARY "):
-        raise ValueError("transcript has no SUMMARY line")
-    end = text.find("\n", start)
-    return json.loads(text[start + len("SUMMARY "):end if end >= 0 else len(text)])
+    step = _HEX_SLICE if packed else 8 * _HEX_SLICE
+    sink.write(head.encode("ascii"))
+    for lo in range(0, data.size, step):
+        part = data[lo:lo + step] if packed else np.packbits(data[lo:lo + step], bitorder="little")
+        sink.write(part.tobytes().hex().encode("ascii"))
+    sink.write(b"\n")
+
+
+def _write_seed_line(sink: BinaryIO, name: str, seed: ToeplitzSeed) -> None:
+    """``<name> <in_len> <out_len> <hex>``, the hex written straight from the packed diagonal."""
+    _write_hex_line(sink, f"{name} {seed.in_len} {seed.out_len} ", seed.diagonal_bytes, packed=True)
 
 
 @dataclass
@@ -325,9 +336,20 @@ def _round_distributions(n_parties: int, qber: float) -> dict[int, np.ndarray]:
     return {cid: np.cumsum(joint_distribution(state, obs)) for cid, obs in enumerate(classes)}
 
 
-def _chunks(n: int) -> list[slice]:
-    """Consecutive slices of at most ``_CHUNK`` rounds that cover ``range(n)``."""
-    return [slice(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
+def _chunks(n: int, size: int = _CHUNK) -> list[slice]:
+    """Consecutive slices of at most ``size`` rounds that cover ``range(n)``."""
+    return [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
+
+
+def _test_chunks(round_class: np.ndarray, size: int = _CHUNK) -> Iterator[tuple[slice, np.ndarray, slice]]:
+    """Per chunk of at most ``size`` rounds: its slice, the numbers of its
+    test rounds and their slice of the per-test-round arrays (the
+    disclosures and the wins), which hold the test rounds in round order."""
+    done = 0
+    for s in _chunks(len(round_class), size):
+        tests = s.start + np.flatnonzero(round_class[s])
+        yield s, tests, slice(done, done + len(tests))
+        done += len(tests)
 
 
 def _measure_rounds(config: ProtocolConfig, streams: _Streams) -> Transcript:
@@ -389,20 +411,26 @@ def reconcile(
     test-round output bits verbatim, which later serve as Alice's exact
     guesses.  ``bob_keys`` substitutes the corrected strings, as a seam for
     corruption experiments; any verification failure aborts the run.
+
+    The raw keys are kept packed (:class:`~dicka.hashing.PackedBits`):
+    Alice's string and the disclosures are gathered ``_CHUNK`` rounds at a
+    time, and 0/1 ``bob_keys`` are packed whole.
     """
     n, n_par = transcript.n_rounds, transcript.n_parties
-    alice = transcript.party_bits(0)
-    if bob_keys is None:
-        # every oracle-corrected Bob holds Alice's string: share it, read-only
-        oracle = alice.view()
-        oracle.setflags(write=False)
-        bob_keys = [oracle] * (n_par - 1)
-    elif len(bob_keys) != n_par - 1:
+    if bob_keys is not None and len(bob_keys) != n_par - 1:
         raise LengthMismatchError(f"need {n_par - 1} Bob keys, got {len(bob_keys)}")
-    tests = np.flatnonzero(transcript.round_class)
-    transcript.disclosures = [transcript.party_bits(k, tests) for k in range(1, n_par)]
-    del tests  # eight bytes per test round, not held through the seed draw and the hashes
-    transcript.raw_keys = [alice] + list(bob_keys)
+    packed = np.empty((n + 7) // 8, dtype=np.uint8)
+    disclosures = [np.empty(transcript.n_test_rounds, dtype=np.uint8) for _ in range(1, n_par)]
+    for s, tests, scored in _test_chunks(transcript.round_class):
+        packed[s.start // 8:(s.stop + 7) // 8] = np.packbits(transcript.party_bits(0, s), bitorder="little")
+        for k, disc in enumerate(disclosures, start=1):
+            disc[scored] = transcript.party_bits(k, tests)
+    packed.setflags(write=False)
+    alice = PackedBits(n, packed)
+    # every oracle-corrected Bob holds Alice's string: share it, read-only
+    bobs = [alice] * (n_par - 1) if bob_keys is None else [pack_bits(bits) for bits in bob_keys]
+    transcript.disclosures = disclosures
+    transcript.raw_keys = [alice] + bobs
     if n == 0:
         return transcript
 
@@ -410,7 +438,7 @@ def reconcile(
     tag = toeplitz_hash(seed, alice)
     transcript.ec_seed = seed
     transcript.ec_tag = tag
-    if not all(verify_hash(seed, cand, tag) for cand in bob_keys):
+    if not all(verify_hash(seed, cand, tag) for cand in bobs):
         transcript.abort = ABORT_EC
     return transcript
 
@@ -425,16 +453,18 @@ def estimate_parameters(config: ProtocolConfig, transcript: Transcript) -> Trans
     """
     if transcript.disclosures is None:
         raise InvalidInputError("reconciliation must run before parameter estimation")
-    tests = np.flatnonzero(transcript.round_class)
-    n_tests = len(tests)
+    n_tests = transcript.n_test_rounds
     if n_tests == 0:
         transcript.pe_vacuous = True
         return transcript
-    _, x, y1 = _CLASS_FIELDS[transcript.round_class[tests]].T
-    a = transcript.party_bits(0, tests)
     b1, *rest = transcript.disclosures
-    rest_parity = np.bitwise_xor.reduce(rest)
-    transcript.wins = parity_chsh_wins_bulk(x, y1, a, b1, rest_parity).view(np.uint8)
+    wins = np.empty(n_tests, dtype=np.uint8)
+    for _, tests, scored in _test_chunks(transcript.round_class):
+        _, x, y1 = _CLASS_FIELDS[transcript.round_class[tests]].T
+        a = transcript.party_bits(0, tests)
+        rest_parity = np.bitwise_xor.reduce([bits[scored] for bits in rest])
+        wins[scored] = parity_chsh_wins_bulk(x, y1, a, b1[scored], rest_parity)
+    transcript.wins = wins
     # tiny slack so a float representation of delta cannot turn an
     # exact-threshold pass into an abort (e.g. 80 wins of 100 at delta=0.8)
     if transcript.n_wins < config.delta * n_tests - 1e-9:

@@ -9,7 +9,7 @@ import hashlib
 
 import pytest
 
-from dicka import EpsilonBudget, ProtocolConfig, read_summary, reconcile, run_protocol
+from dicka import EpsilonBudget, ProtocolConfig, reconcile, run_protocol
 from dicka.cli import main
 from dicka.protocol import ABORT_EC, ABORT_PE, _Streams, _measure_rounds
 
@@ -86,8 +86,9 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_transcript_digest(name):
     config, build, abort, key_length, digest = CASES[name]
-    text = build(config).serialize()
-    summary = read_summary(text)
+    transcript = build(config)
+    text = transcript.serialize()
+    summary = transcript.summary()  # the digest pins its SUMMARY line
     assert summary["abort"] == abort
     assert summary["key_length"] == key_length
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dicka import LengthMismatchError, ToeplitzSeed, bits_to_hex, hashing, toeplitz_hash, verify_hash
-from dicka.hashing import as_bits, random_seed
+from dicka.hashing import PackedBits, as_bits, pack_bits, random_seed
 
 
 def _oracle_matrix(in_len, out_len, diagonal):
@@ -81,6 +81,46 @@ def test_hash_matches_oracle_across_the_block_edge():
             for u in (np.ones(in_len, dtype=np.uint8), rng.integers(0, 2, size=in_len, dtype=np.uint8)):
                 want = np.count_nonzero(oracle & u, axis=1) % 2
                 assert np.array_equal(toeplitz_hash(seed, u), want)
+
+
+@pytest.mark.parametrize("block", [hashing._BLOCK, 61], ids=["BLOCK", "block61"])
+def test_packed_and_bit_inputs_match_the_dense_oracle(block, monkeypatch):
+    # a packed input is unpacked one block at a time from arbitrary bit
+    # offsets: around the block edges, with in_len % 8 of 1 and 7 so the last
+    # byte is nearly empty or nearly full, and on all-ones inputs; a square
+    # dense oracle at the real block size would take a gigabyte, so
+    # out_len = in_len runs with a small block in place of _BLOCK
+    monkeypatch.setattr(hashing, "_BLOCK", block)
+    rng = np.random.Generator(np.random.PCG64(73))
+    for in_len in sorted({1, 7, 9, 63, 65, 1001, 1007, block - 1, block, block + 1, 2 * block + 5}):
+        square = [in_len] if in_len <= 2000 else []
+        for out_len in sorted({0, 1, min(27, in_len), *square}):
+            seed = random_seed(in_len, out_len, rng)
+            oracle = _oracle_matrix(in_len, out_len, seed.diagonal_bits)
+            for u in (np.ones(in_len, dtype=np.uint8), rng.integers(0, 2, size=in_len, dtype=np.uint8)):
+                want = np.count_nonzero(oracle & u, axis=1) % 2
+                packed = pack_bits(u)
+                assert packed.n_bits == in_len and packed.data.size == (in_len + 7) // 8
+                assert np.array_equal(packed.data, np.packbits(u, bitorder="little"))
+                assert np.array_equal(toeplitz_hash(seed, u), want)
+                assert np.array_equal(toeplitz_hash(seed, packed), want)
+                assert verify_hash(seed, packed, want)
+
+
+def test_packed_input_is_checked_and_passed_through():
+    seed = ToeplitzSeed(4, 2, "10110")
+    packed = pack_bits("1011")
+    assert pack_bits(packed) is packed
+    assert toeplitz_hash(seed, packed).tolist() == toeplitz_hash(seed, "1011").tolist()
+    with pytest.raises(LengthMismatchError):
+        toeplitz_hash(seed, pack_bits("101"))
+    with pytest.raises(LengthMismatchError):
+        toeplitz_hash(seed, PackedBits(5, packed.data))
+    for n_bits, data in ((9, packed.data), (-1, packed.data[:0]), (4, packed.data.astype(np.int64)), (4, [13])):
+        with pytest.raises(LengthMismatchError):
+            PackedBits(n_bits, data)
+    with pytest.raises(ValueError):
+        pack_bits([0, 2])
 
 
 def test_packed_diagonal_round_trips():

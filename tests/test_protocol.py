@@ -2,7 +2,9 @@
 
 import dataclasses
 import io
+import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -29,13 +31,32 @@ from dicka import (
     joint_distribution,
     pexp_formula,
     qber_to_pdep,
-    read_summary,
     reconcile,
     run_protocol,
 )
 from dicka.game import _questions
+from dicka.hashing import PackedBits
 from dicka.protocol import ABORT_EC, ABORT_PE, _CHUNK, _Streams, _measure_rounds, _round_distributions
 from dicka.quantum import outcome_bits
+
+
+def _key_bits(key):
+    """A raw key as a uint8 array of 0/1: raw keys are kept packed eight bits to a byte."""
+    assert isinstance(key, PackedBits) and key.data.size == (key.n_bits + 7) // 8
+    return np.unpackbits(key.data, count=key.n_bits, bitorder="little")
+
+
+def read_summary(text: str) -> dict:
+    """Parse the last SUMMARY line out of a serialized transcript.
+
+    Found by one reverse search, so the round lines are neither split nor
+    copied.
+    """
+    start = text.rfind("\nSUMMARY ") + 1
+    if start == 0 and not text.startswith("SUMMARY "):
+        raise ValueError("transcript has no SUMMARY line")
+    end = text.find("\n", start)
+    return json.loads(text[start + len("SUMMARY "):end if end >= 0 else len(text)])
 
 
 def _budget():
@@ -72,8 +93,8 @@ def test_honest_run_with_key_override():
     assert tr.abort is None
     assert all(len(k) == 96 for k in tr.keys)
     assert tr.keys_identical
-    assert np.array_equal(tr.raw_keys[0], tr.outcomes[:, 0])
-    assert len(tr.raw_keys[0]) == 10**4
+    assert np.array_equal(_key_bits(tr.raw_keys[0]), tr.outcomes[:, 0])
+    assert tr.raw_keys[0].n_bits == 10**4
 
 
 @pytest.mark.parametrize(
@@ -136,9 +157,9 @@ def test_reconcile_honest_keys_match_alice():
     tr = _measure_rounds(config, streams)
     reconcile(config, tr, streams.ec)
     assert tr.abort is None
-    alice = tr.raw_keys[0]
+    alice = _key_bits(tr.raw_keys[0])
     for bob in tr.raw_keys[1:]:
-        assert np.array_equal(alice, bob)
+        assert np.array_equal(alice, _key_bits(bob))
     assert len(tr.disclosures) == config.n_parties - 1
     assert all(len(d) == tr.n_test_rounds for d in tr.disclosures)
 
@@ -406,7 +427,7 @@ def test_parameter_estimation_scores_against_the_outcomes(n_parties):
     estimate_parameters(config, tr)
     assert len(tr.disclosures) == n_parties - 1
     test = tr.t == 1
-    assert np.array_equal(tr.raw_keys[0], tr.outcomes[:, 0])
+    assert np.array_equal(_key_bits(tr.raw_keys[0]), tr.outcomes[:, 0])
     for k, disclosed in enumerate(tr.disclosures, start=1):
         assert disclosed.dtype == np.uint8 and np.array_equal(disclosed, tr.outcomes[test, k])
     a, b1 = tr.outcomes[:, 0], tr.outcomes[:, 1]
@@ -584,8 +605,8 @@ def test_numpy_draws_are_chunk_stable():
 
 
 def test_run_and_serialize_hold_bounded_memory(tmp_path):
-    # the transcript's arrays and Alice's key take 8 bytes per round at N = 3;
-    # the sampling, hashing and serialization temporaries must not grow with n
+    # the run keeps about 2.5 bytes per round at N = 3; the sampling,
+    # hashing and serialization temporaries must not grow with n
     config = _config(n_rounds=10**6, mu=0.05, qber=0.02, delta=0.78, key_len=128, rng_seed=3)
     _round_distributions(config.n_parties, config.qber)  # cached tables are not per-round memory
     tracemalloc.start()
@@ -600,11 +621,11 @@ def test_run_and_serialize_hold_bounded_memory(tmp_path):
     assert peak < 20 * 2**20
 
 
-def test_run_keeps_about_three_bytes_per_round():
+def test_run_keeps_about_two_and_a_half_bytes_per_round():
     # kept: the round class and outcome index (one byte each at N = 3),
-    # Alice's key, the packed EC and PA seeds, and the disclosures and wins
-    # of the tested 5 %; the peak adds the fixed working memory of sampling,
-    # seed draws and hashing
+    # Alice's packed key and the packed EC and PA seeds (1/8 byte each), and
+    # the disclosures and wins of the tested 5 %; the peak adds only the
+    # fixed working memory of the chunked stages, about 0.3 MB
     config = _config(n_rounds=10**6, mu=0.05, qber=0.02, delta=0.78, key_len=128, rng_seed=3)
     run_protocol(dataclasses.replace(config, n_rounds=1000))  # tables and lazy imports are not per round
     tracemalloc.start()
@@ -614,8 +635,60 @@ def test_run_keeps_about_three_bytes_per_round():
     finally:
         tracemalloc.stop()
     assert tr.abort is None and tr.keys_identical
-    assert kept <= 3.5 * config.n_rounds
-    assert peak <= 5 * config.n_rounds
+    assert kept <= 2.7 * config.n_rounds
+    assert peak <= kept + 0.5 * 2**20
+
+
+def test_serializing_to_a_file_holds_half_a_megabyte():
+    # the round lines are built 2^12 rounds at a time and the hex lines are
+    # written a slice at a time; whole EC and PA seed hex strings took 1.5
+    # bytes per round, and 2^14-round line chunks 1.3 MB
+    config = _config(n_rounds=2 * 10**5, mu=0.05, qber=0.02, delta=0.78, key_len=128, rng_seed=3)
+    tr = run_protocol(config)
+    with open(os.devnull, "wb") as sink:
+        run_protocol(dataclasses.replace(config, n_rounds=1000)).serialize(sink)  # lazy set-up
+        tracemalloc.start()
+        try:
+            tr.serialize(sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert tr.abort is None and tr.pa_seed is not None
+    assert peak <= 0.5 * 2**20
+
+
+def test_every_stage_peaks_near_what_the_run_keeps():
+    # each stage walks the rounds in bounded chunks, so its peak stays within
+    # a fixed amount (2 MB) and a fraction of a byte per round of what the
+    # run keeps after it
+    config = _config(n_rounds=4 * 10**6, mu=0.05, qber=0.02, delta=0.78, key_len=128, rng_seed=3)
+    run_protocol(dataclasses.replace(config, n_rounds=1000))  # tables and lazy imports are not per round
+    streams = _Streams.from_seed(config.rng_seed)
+    stages = {
+        "measure": lambda tr: _measure_rounds(config, streams),
+        "reconcile": lambda tr: reconcile(config, tr, streams.ec),
+        "estimate": lambda tr: estimate_parameters(config, tr),
+        "amplify": lambda tr: amplify(tr, config.key_len, streams.pa),
+    }
+    over = {}
+    tracemalloc.start()
+    try:
+        tr = None
+        for name, stage in stages.items():
+            tracemalloc.reset_peak()
+            tr = stage(tr)
+            kept, peak = tracemalloc.get_traced_memory()
+            over[name] = peak - kept
+        with open(os.devnull, "wb") as sink:
+            tracemalloc.reset_peak()
+            tr.serialize(sink)
+            kept, peak = tracemalloc.get_traced_memory()
+            over["serialize"] = peak - kept
+    finally:
+        tracemalloc.stop()
+    assert tr.abort is None and tr.keys_identical
+    limit = 0.5 * config.n_rounds + 2 * 2**20
+    assert all(extra <= limit for extra in over.values()), over
 
 
 def test_oracle_bob_keys_share_alices_string_read_only():
@@ -624,11 +697,11 @@ def test_oracle_bob_keys_share_alices_string_read_only():
     tr = reconcile(config, _measure_rounds(config, streams), streams.ec)
     alice, bobs = tr.raw_keys[0], tr.raw_keys[1:]
     assert len(bobs) == 4 and tr.abort is None
+    assert np.array_equal(_key_bits(alice), tr.outcomes[:, 0])
     for bob in bobs:
-        assert np.shares_memory(bob, alice) and np.array_equal(bob, alice)
-        assert not bob.flags.writeable
+        assert bob is alice and not bob.data.flags.writeable
         with pytest.raises(ValueError):
-            bob[0] ^= 1
+            bob.data[0] ^= 1
 
 
 def test_round_records_consistent():
