@@ -177,8 +177,8 @@ class Transcript:
             c[np.flatnonzero(self.round_class)] = self.wins
         return c
 
-    def party_bits(self, party: int, rows=slice(None)) -> np.ndarray:
-        """uint8 outcome bits of one party (0 is Alice) on the given rounds."""
+    def party_bits(self, party: int, rows) -> np.ndarray:
+        """uint8 outcome bits of one party (0 is Alice) on the given rounds (a slice or round numbers)."""
         bits = self.outcome_index[rows] >> (self.n_parties - 1 - party)
         bits &= 1
         return bits.astype(np.uint8, copy=False)
@@ -336,15 +336,23 @@ def _round_distributions(n_parties: int, qber: float) -> dict[int, np.ndarray]:
     return {cid: np.cumsum(joint_distribution(state, obs)) for cid, obs in enumerate(classes)}
 
 
-def _chunks(n: int, size: int = _CHUNK) -> list[slice]:
-    """Consecutive slices of at most ``size`` rounds that cover ``range(n)``."""
-    return [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
+def _chunks(n: int, size: int = _CHUNK) -> Iterator[slice]:
+    """Consecutive slices of at most ``size`` rounds that cover ``range(n)``.
+
+    Made one at a time: a list of them would grow with n (64 bytes per
+    chunk, 1.6 MB at n = 1e8 in chunks of 2**12).
+    """
+    for lo in range(0, n, size):
+        yield slice(lo, min(lo + size, n))
 
 
 def _test_chunks(round_class: np.ndarray, size: int = _CHUNK) -> Iterator[tuple[slice, np.ndarray, slice]]:
-    """Per chunk of at most ``size`` rounds: its slice, the numbers of its
-    test rounds and their slice of the per-test-round arrays (the
-    disclosures and the wins), which hold the test rounds in round order."""
+    """Per chunk of at most ``size`` rounds: its slice, its test rounds and their slice of the test-round arrays.
+
+    The test rounds come as round numbers.  The per-test-round arrays (the
+    disclosures and the wins) hold the test rounds in round order, so each
+    chunk's test rounds fill the slice after the previous chunk's.
+    """
     done = 0
     for s in _chunks(len(round_class), size):
         tests = s.start + np.flatnonzero(round_class[s])
@@ -367,13 +375,12 @@ def _measure_rounds(config: ProtocolConfig, streams: _Streams) -> Transcript:
     n, n_par = config.n_rounds, config.n_parties
     round_class = np.empty(n, dtype=np.uint8)
     outcome_index = np.empty(n, dtype=np.min_scalar_type(2**n_par - 1))
-    chunks = _chunks(n)
     for raw in (round_class, outcome_index):
-        for s in chunks:
+        for s in _chunks(n):
             raw[s] = streams.inputs.integers(0, 2, size=s.stop - s.start)
 
     tables = _round_distributions(n_par, config.qber)
-    for s in chunks:
+    for s in _chunks(n):
         test = streams.tests.random(s.stop - s.start) < config.mu
         cls = np.where(test, 1 + 2 * round_class[s].astype(np.int64) + outcome_index[s], 0)
         round_class[s] = cls

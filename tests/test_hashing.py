@@ -195,8 +195,9 @@ def test_long_input_hash_holds_bounded_memory():
 
 
 def test_hash_block_operands_are_single_precision():
-    # float32 block operands of _BLOCK input bits and their diagonal slice:
-    # about 0.5 MB here, where float64 ones took 1 MB
+    # float32 block operands of _BLOCK input bits and their diagonal slice,
+    # plus the packed copy of this 0/1 input: about 0.5 MB here, where
+    # float64 operands of 2^16 bits took 1 MB
     rng = np.random.Generator(np.random.PCG64(61))
     in_len, out_len = 2 * 10**6, 27
     seed = random_seed(in_len, out_len, rng)
