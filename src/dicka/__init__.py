@@ -8,7 +8,6 @@ from .errors import (
     SizeOutOfRangeError,
 )
 from .game import (
-    SettingsBundle,
     classical_value,
     conditioned_win_probabilities,
     honest_settings,
@@ -45,7 +44,6 @@ from .protocol import (
 from .quantum import (
     MAX_QUBITS,
     GHZState,
-    NoiseModel,
     Observable,
     depolarize_each,
     joint_distribution,

@@ -35,7 +35,7 @@ from .keyrate import (
     qber_to_pdep,
 )
 from .protocol import ProtocolConfig, run_protocol
-from .quantum import GHZState, NoiseModel, depolarize_each
+from .quantum import GHZState, depolarize_each
 
 EXIT_OK = 0
 EXIT_TOOL_ERROR = 1
@@ -182,7 +182,7 @@ def cmd_game(args: argparse.Namespace) -> int:
     n_parties = _get_int(cfg, "n_parties")
     qber = _get_float(cfg, "qber")
     classical = classical_value(n_parties)
-    state = depolarize_each(GHZState(n_parties), NoiseModel(qber_to_pdep(qber)))
+    state = depolarize_each(GHZState(n_parties), qber_to_pdep(qber))
     quantum = quantum_win_probability(state, honest_settings(n_parties))
     lines = [
         f"n_parties = {n_parties}",

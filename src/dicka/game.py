@@ -5,23 +5,26 @@ fixed input 1.  With b-bar the parity of the outputs of Bob_2..Bob_{N-1},
 the players win iff a XOR b_1 == x * ((y + b-bar) mod 2).  With no extra
 Bobs the parity is empty (0) and the game is exactly CHSH.
 
-This module evaluates the predicate, computes the exact classical value by
-exhaustive enumeration of deterministic strategies, holds the honest
-observables of every round class (``honest_settings``), and computes the
-quantum winning probability of a depolarized GHZ state (``GHZState``) under
-a settings bundle.
+This module is the one home of the round classes: ``ROUND_CLASSES`` lists
+them (class 0 is the key round, class 1 + 2x + y1 the test question
+(x, y1)) and ``honest_settings`` gives every party's honest observable in
+each, indexed by class id; the protocol samples, stores and scores rounds
+by these ids.  The module also evaluates the predicate, computes the exact
+classical value by exhaustive enumeration of deterministic strategies, and
+computes the quantum winning probability of a depolarized GHZ state
+(``GHZState``) under per-class settings, in total and conditioned on the
+parity of the other Bobs' outputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Iterator
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SizeOutOfRangeError
+from .errors import SizeOutOfRangeError
 from .quantum import (
     PAULI_X,
     PAULI_Z,
@@ -62,68 +65,43 @@ def classical_value(n_parties: int) -> Fraction:
     return Fraction(int(wins.max()), 4)
 
 
+# Row c is (t, x, y1) of round class c: class 0 is the key round (t = 0,
+# x = 0, y1 = 2) and class 1 + 2x + y1 the test question (x, y1).  The
+# transcript keeps each round's class id and decodes its t, x and y1 here.
+ROUND_CLASSES = np.array([[0, 0, 2], [1, 0, 0], [1, 0, 1], [1, 1, 0], [1, 1, 1]], dtype=np.uint8)
+
 _Z = Observable(PAULI_Z)
 _X = Observable(PAULI_X)
 _Z_PLUS_X = Observable((PAULI_Z + PAULI_X) / np.sqrt(2.0))
 _Z_MINUS_X = Observable((PAULI_Z - PAULI_X) / np.sqrt(2.0))
 
 
-@dataclass(frozen=True)
-class SettingsBundle:
-    """Observables per round class.
+def honest_settings(n_parties: int) -> list[list[Observable]]:
+    """Every party's honest observable in each round class, party 0 first, indexed by class id.
 
-    Test rounds: Alice per x, Bob_1 per y, fixed for the rest.  Key rounds:
-    one observable per party.
-    """
-
-    alice: tuple[Observable, Observable]
-    bob1: tuple[Observable, Observable]
-    rest: tuple[Observable, ...]
-    key: tuple[Observable, ...]
-
-    @property
-    def n_parties(self) -> int:
-        return 2 + len(self.rest)
-
-    def question(self, x: int, y: int) -> list[Observable]:
-        """Every party's observable on the test question (x, y), party 0 first."""
-        return [self.alice[x], self.bob1[y], *self.rest]
-
-
-def honest_settings(n_parties: int) -> SettingsBundle:
-    """Observables of the honest strategy for every round class.
-
-    Test rounds: Alice Z/X, Bob_1 (Z+-X)/sqrt2, the other Bobs X for their
-    fixed input 1.  Key rounds: everyone Z.
+    Key rounds (class 0): everyone Z.  Test question (x, y1) (class
+    1 + 2x + y1): Alice Z/X, Bob_1 (Z+-X)/sqrt2, the other Bobs X for their
+    fixed input 1.
     """
     if n_parties < 2:
         raise SizeOutOfRangeError("need at least two parties")
-    return SettingsBundle(
-        alice=(_Z, _X),
-        bob1=(_Z_PLUS_X, _Z_MINUS_X),
-        rest=(_X,) * (n_parties - 2),
-        key=(_Z,) * n_parties,
-    )
+    alice, bob1, rest = (_Z, _X), (_Z_PLUS_X, _Z_MINUS_X), [_X] * (n_parties - 2)
+    return [[_Z] * n_parties] + [[alice[x], bob1[y1], *rest] for _, x, y1 in ROUND_CLASSES[1:]]
 
 
 def _questions(
-    state: GHZState, settings: SettingsBundle
+    state: GHZState, settings: list[list[Observable]]
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per (x, y) question: Born-rule outcome distribution, win mask and outcome parity."""
-    n = settings.n_parties
-    if state.n_qubits != n:
-        raise DimensionMismatchError(
-            f"state has {state.n_qubits} qubits but settings describe {n} parties"
-        )
+    """Per test class 1..4: Born-rule outcome distribution, win mask and outcome parity."""
+    n = state.n_qubits
     bits = outcome_bits(np.arange(2**n), n)
     a, b1, parity = bits[:, 0], bits[:, 1], bits[:, 2:].sum(axis=1) & 1
-    for x in (0, 1):
-        for y in (0, 1):
-            dist = joint_distribution(state, settings.question(x, y))
-            yield dist, parity_chsh_wins_bulk(x, y, a, b1, parity), parity
+    for (_, x, y1), observables in zip(ROUND_CLASSES[1:], settings[1:]):
+        dist = joint_distribution(state, observables)
+        yield dist, parity_chsh_wins_bulk(x, y1, a, b1, parity), parity
 
 
-def quantum_win_probability(state: GHZState, settings: SettingsBundle) -> float:
+def quantum_win_probability(state: GHZState, settings: list[list[Observable]]) -> float:
     """Winning probability under uniform (x, y), evaluated by the Born rule."""
     total = 0.0
     for dist, wins, _ in _questions(state, settings):
@@ -132,7 +110,7 @@ def quantum_win_probability(state: GHZState, settings: SettingsBundle) -> float:
 
 
 def conditioned_win_probabilities(
-    state: GHZState, settings: SettingsBundle
+    state: GHZState, settings: list[list[Observable]]
 ) -> dict[int, tuple[float, float]]:
     """Map parity value -> (probability of that parity, conditional win probability).
 

@@ -18,27 +18,29 @@ represents every integer up to 2**24 exactly, so each share is exact while
 ``_BLOCK`` <= 2**24; and the int64 running totals lie in [0, in_len], exact
 for every length an array can have.  Time is O(in_len * out_len).
 
-A seed keeps its diagonal packed eight bits to a byte, in the hex order
-below, so a kept seed costs (in_len + out_len) / 8 bytes; it is drawn one
-chunk at a time.  The hash reads its input packed the same way
-(:class:`PackedBits`): a packed input is used as it is, and 0/1 bits are
-checked and packed first.  The hash unpacks the input and the diagonal
-one block at a time, so it never holds an unpacked copy of either.  Its
-working memory is about 8 * _BLOCK + 4 * out_len bytes of float32 block
-operands (0.25 MB for a short output), 2 * _BLOCK bytes of unpacked bits
-and 8 * out_len bytes of int64 sums, whatever in_len is, plus in_len / 8
-bytes when it has to pack a 0/1 input.
+This module is the one home of the packed bit-string format.  Bit strings
+are numpy uint8 arrays of 0/1 (helpers accept '01' strings too) or, for
+long strings that are kept, :class:`PackedBits`: bit i of the string is
+bit i % 8 of byte i // 8 (little-endian within each byte), and the hex of
+a string is the lowercase hex of those bytes.  ``pack_bits`` packs a whole
+string, ``pack_chunks`` packs one chunk at a time, ``_unpacked`` reads a
+slice back, ``bits_to_hex`` writes the hex and ``write_hex_line`` writes it
+to a file a slice at a time.
 
-Bit strings are numpy uint8 arrays of 0/1 (helpers accept '01' strings
-too) or, for long strings that are kept, :class:`PackedBits`.  Hex
-serialization packs bits little-endian within each byte: bit i of the
-string is bit i % 8 of byte i // 8.  Hex digits are lowercase.
+A seed keeps its diagonal as a :class:`PackedBits`, so a kept seed costs
+(in_len + out_len) / 8 bytes; it is drawn one chunk at a time.  The hash
+reads its input packed the same way: a packed input is used as it is, and
+0/1 bits are checked and packed first.  The hash unpacks the input and the
+diagonal one block at a time, so it never holds an unpacked copy of
+either.  Its working memory is about 8 * _BLOCK + 4 * out_len bytes of
+float32 block operands (0.25 MB for a short output), 2 * _BLOCK bytes of
+unpacked bits and 8 * out_len bytes of int64 sums, whatever in_len is,
+plus in_len / 8 bytes when it has to pack a 0/1 input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import BinaryIO, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -58,6 +60,10 @@ _BLOCK = 2**15
 # buffered uint8 draws give the one-shot values when split.
 _SEED_CHUNK = 2**16
 
+# Packed bytes per write of a hex line: its temporaries take about five
+# bytes per packed byte.
+_HEX_SLICE = 2**13
+
 
 def as_bits(bits: BitsLike) -> np.ndarray:
     """Check a '01' string or a bool or integer sequence of 0/1, then cast it to uint8."""
@@ -73,11 +79,12 @@ def as_bits(bits: BitsLike) -> np.ndarray:
 
 
 class PackedBits:
-    """A bit string of ``n_bits`` bits kept packed little-endian in ``data``, the hex order below.
+    """A bit string of ``n_bits`` bits kept packed little-endian in ``data``, the hex order above.
 
     ``data`` is a uint8 array of (n_bits + 7) // 8 bytes; the unused high
-    bits of its last byte are zero.  A plain class, so defining it costs
-    nothing at import.
+    bits of its last byte are zero.  Two packed strings are equal when their
+    lengths and bytes are.  A plain class, so defining it costs nothing at
+    import.
     """
 
     __slots__ = ("n_bits", "data")
@@ -89,13 +96,38 @@ class PackedBits:
         self.n_bits = n_bits
         self.data = data
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PackedBits):
+            return NotImplemented
+        return self.n_bits == other.n_bits and bool(np.array_equal(self.data, other.data))
+
+
+def pack_chunks(n_bits: int, chunks: Iterable[np.ndarray]) -> PackedBits:
+    """Pack a string of ``n_bits`` bits given as consecutive uint8 0/1 chunks; the bytes are read-only.
+
+    Each chunk is packed into its place as it comes, so the whole string is
+    never held unpacked.  Every chunk but the last must be a whole number of
+    bytes long.  The chunks are not checked to be 0/1.
+    """
+    data = np.empty((n_bits + 7) // 8, dtype=np.uint8)
+    lo = 0
+    for bits in chunks:
+        if lo % 8 or lo + bits.size > n_bits:
+            raise LengthMismatchError(f"a {bits.size}-bit chunk at bit {lo} does not fit {n_bits} bits")
+        data[lo // 8:(lo + bits.size + 7) // 8] = np.packbits(bits, bitorder="little")
+        lo += bits.size
+    if lo != n_bits:
+        raise LengthMismatchError(f"chunks hold {lo} bits, not {n_bits}")
+    data.setflags(write=False)
+    return PackedBits(n_bits, data)
+
 
 def pack_bits(bits: Union[BitsLike, PackedBits]) -> PackedBits:
     """Check 0/1 bits and pack them; a :class:`PackedBits` is returned as it is."""
     if isinstance(bits, PackedBits):
         return bits
     arr = as_bits(bits)
-    return PackedBits(arr.size, np.packbits(arr, bitorder="little"))
+    return pack_chunks(arr.size, [arr])
 
 
 def _unpacked(data: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -104,8 +136,26 @@ def _unpacked(data: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return np.unpackbits(data[first:(hi + 7) // 8], bitorder="little")[lo - 8 * first:hi - 8 * first]
 
 
-def bits_to_hex(bits: BitsLike) -> str:
+def bits_to_hex(bits: Union[BitsLike, PackedBits]) -> str:
     return pack_bits(bits).data.tobytes().hex()
+
+
+def write_hex_line(sink: BinaryIO, head: str, bits: Union[np.ndarray, PackedBits]) -> None:
+    """Write ``head``, ``bits_to_hex(bits)`` and LF to the binary file ``sink``.
+
+    The hex goes out ``_HEX_SLICE`` packed bytes at a time: a
+    :class:`PackedBits` straight from its bytes, 0/1 bits checked and packed
+    one slice at a time.  Either way no more than one slice is held.
+    """
+    sink.write(head.encode("ascii"))
+    if isinstance(bits, PackedBits):
+        slices = (bits.data[lo:lo + _HEX_SLICE] for lo in range(0, bits.data.size, _HEX_SLICE))
+    else:
+        step = 8 * _HEX_SLICE
+        slices = (pack_bits(bits[lo:lo + step]).data for lo in range(0, len(bits), step))
+    for part in slices:
+        sink.write(part.tobytes().hex().encode("ascii"))
+    sink.write(b"\n")
 
 
 def _check_lengths(in_len: int, out_len: int) -> None:
@@ -115,74 +165,51 @@ def _check_lengths(in_len: int, out_len: int) -> None:
         raise LengthMismatchError("out_len must lie in [0, in_len]")
 
 
-@dataclass(frozen=True, init=False, eq=False)
 class ToeplitzSeed:
     """Diagonal description of an out_len x in_len Toeplitz matrix over GF(2).
 
-    Built from the diagonal's in_len + out_len - 1 bits, which are checked
-    and then kept packed little-endian in ``diagonal_bytes``.  Two seeds are
-    equal when their lengths and diagonals are.
+    Built from the diagonal's in_len + out_len - 1 bits, 0/1 bits (checked
+    and packed) or a :class:`PackedBits` (kept as it is), and kept packed in
+    ``diagonal``.  Two seeds are equal when their lengths and diagonals are.
     """
 
-    in_len: int
-    out_len: int
-    diagonal_bytes: np.ndarray
+    __slots__ = ("in_len", "out_len", "diagonal")
 
-    def __init__(self, in_len: int, out_len: int, diagonal_bits: BitsLike) -> None:
+    def __init__(self, in_len: int, out_len: int, diagonal_bits: Union[BitsLike, PackedBits]) -> None:
         _check_lengths(in_len, out_len)
-        bits = as_bits(diagonal_bits)
+        diagonal = pack_bits(diagonal_bits)
         expected = in_len + out_len - 1
-        if bits.size != expected:
-            raise LengthMismatchError(
-                f"diagonal needs {expected} bits, got {bits.size}"
-            )
-        self._fill(in_len, out_len, np.packbits(bits, bitorder="little"))
-
-    def _fill(self, in_len: int, out_len: int, diagonal_bytes: np.ndarray) -> None:
-        for name, value in (
-            ("in_len", in_len),
-            ("out_len", out_len),
-            ("diagonal_bytes", diagonal_bytes),
-        ):
-            object.__setattr__(self, name, value)
+        if diagonal.n_bits != expected:
+            raise LengthMismatchError(f"diagonal needs {expected} bits, got {diagonal.n_bits}")
+        self.in_len, self.out_len, self.diagonal = in_len, out_len, diagonal
 
     def __eq__(self, other: object) -> bool:
-        # the generated __eq__ would compare the byte arrays inside a tuple,
-        # which raises for more than one byte
         if not isinstance(other, ToeplitzSeed):
             return NotImplemented
-        return (self.in_len, self.out_len) == (other.in_len, other.out_len) and bool(
-            np.array_equal(self.diagonal_bytes, other.diagonal_bytes)
-        )
+        return (self.in_len, self.out_len, self.diagonal) == (other.in_len, other.out_len, other.diagonal)
 
     @property
     def diagonal_bits(self) -> np.ndarray:
         """The diagonal as a uint8 array of 0/1, unpacked on each access."""
-        return _unpacked(self.diagonal_bytes, 0, self.in_len + self.out_len - 1)
+        return _unpacked(self.diagonal.data, 0, self.diagonal.n_bits)
 
 
 def random_seed(in_len: int, out_len: int, rng: np.random.Generator) -> ToeplitzSeed:
     """Draw a fresh seed with uniformly random diagonal bits.
 
     The bits come from uint8 ``integers`` calls of ``_SEED_CHUNK`` bits
-    each, the last one shorter, and each chunk is packed into its place in
-    ``diagonal_bytes`` as it is drawn, so no full-length unpacked diagonal
-    is held.  The chunks give the values of one call over the whole
-    diagonal, because numpy draws uint8 values four to a 32-bit word and
-    every chunk but the last is a whole number of words.  The drawn bits
-    are 0/1 of the right length by construction, so the seed is built
-    without the bit check that ``ToeplitzSeed(...)`` runs on bits from
-    outside.
+    each, the last one shorter, packed one chunk at a time by
+    :func:`pack_chunks`, so no full-length unpacked diagonal is held.  The
+    chunks give the values of one call over the whole diagonal, because
+    numpy draws uint8 values four to a 32-bit word and every chunk but the
+    last is a whole number of words.  The drawn bits are 0/1 by
+    construction, so the packed diagonal goes to the seed unchecked.
     """
     _check_lengths(in_len, out_len)
     n_bits = in_len + out_len - 1
-    packed = np.empty((n_bits + 7) // 8, dtype=np.uint8)
-    for lo in range(0, n_bits, _SEED_CHUNK):
-        bits = rng.integers(0, 2, size=min(_SEED_CHUNK, n_bits - lo), dtype=np.uint8)
-        packed[lo // 8:(lo + bits.size + 7) // 8] = np.packbits(bits, bitorder="little")
-    seed = object.__new__(ToeplitzSeed)
-    seed._fill(in_len, out_len, packed)
-    return seed
+    sizes = (min(_SEED_CHUNK, n_bits - lo) for lo in range(0, n_bits, _SEED_CHUNK))
+    draws = (rng.integers(0, 2, size=size, dtype=np.uint8) for size in sizes)
+    return ToeplitzSeed(in_len, out_len, pack_chunks(n_bits, draws))
 
 
 def toeplitz_hash(seed: ToeplitzSeed, input: Union[BitsLike, PackedBits]) -> np.ndarray:
@@ -215,7 +242,7 @@ def toeplitz_hash(seed: ToeplitzSeed, input: Union[BitsLike, PackedBits]) -> np.
         # the last block clips at in_len, and its diagonal slice with it
         m1 = min(m0 + _BLOCK, in_len)
         return np.correlate(
-            _unpacked(seed.diagonal_bytes, m0, m1 + out_len - 1).astype(np.float32),
+            _unpacked(seed.diagonal.data, m0, m1 + out_len - 1).astype(np.float32),
             _unpacked(packed.data, in_len - m1, in_len - m0)[::-1].astype(np.float32),
             "valid",
         ).astype(np.int64)

@@ -22,16 +22,17 @@ configuration, never on earlier outcomes.
 
 Every stage walks the rounds in chunks: sampling, the disclosures,
 scoring and the packing of Alice's key by ``_CHUNK`` rounds, the round
-lines by ``_LINE_CHUNK``, the hex lines by ``_HEX_SLICE`` bytes, and the
-hashes by blocks (see :mod:`dicka.hashing`).  So a stage's temporaries are
-bounded by its chunk, not by the run, and a run's memory peaks at what it
-keeps plus a fixed amount.  What it keeps grows with the round count: the
-transcript's two bytes per round (the round's class and its outcome index,
-see :class:`Transcript`; two bytes for the index from N = 9 on), Alice's
-raw key packed eight bits to a byte (the Bobs' oracle keys share it), the
-EC and PA seeds (one bit per diagonal bit) and, for the tested fraction mu
-of the rounds, the Bobs' disclosures and the wins: about 2.5 bytes per
-round at N = 3 and mu = 0.05.
+lines by ``_LINE_CHUNK``, and the hex lines and the hashes by slices and
+blocks (see :mod:`dicka.hashing`).  So a stage's temporaries are bounded
+by its chunk, not by the run, and a run's memory peaks at what it keeps
+plus a fixed amount.  What it keeps grows with the round count: the
+transcript's two bytes per round (the round's class, one of
+``game.ROUND_CLASSES``, and its outcome index, see :class:`Transcript`;
+two bytes for the index from N = 9 on), Alice's raw key packed eight bits
+to a byte (the Bobs' oracle keys share it), the EC and PA seeds (one bit
+per diagonal bit) and, for the tested fraction mu of the rounds, the Bobs'
+disclosures and the wins: about 2.5 bytes per round at N = 3 and
+mu = 0.05.
 
 Transcript text format (LF line endings)
 ----------------------------------------
@@ -42,8 +43,8 @@ One line per round::
 with ``c`` printed as ``1`` (win), ``0`` (lose) or ``-`` (untested).  The
 round lines are built as uint8 byte matrices of ``_LINE_CHUNK`` rounds each (see
 :meth:`Transcript._round_lines`): ASCII digits, LF line ends, no locale.
-Then hex blocks (bit strings packed little-endian per byte, see
-:mod:`dicka.hashing`)::
+Then hex blocks (bit strings packed little-endian per byte and written
+by ``hashing.write_hex_line``)::
 
     EC_SEED <in_len> <out_len> <hex>
     EC_TAG <n_bits> <hex>
@@ -65,10 +66,11 @@ from typing import BinaryIO, Iterator, Optional
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, LengthMismatchError, SizeOutOfRangeError
-from .game import honest_settings, parity_chsh_wins_bulk
-from .hashing import PackedBits, ToeplitzSeed, bits_to_hex, pack_bits, random_seed, toeplitz_hash, verify_hash
+from .game import ROUND_CLASSES, honest_settings, parity_chsh_wins_bulk
+from .hashing import PackedBits, ToeplitzSeed, bits_to_hex, pack_bits, pack_chunks, random_seed, toeplitz_hash
+from .hashing import verify_hash, write_hex_line
 from .keyrate import RateParams, finite_key_length, qber_to_pdep
-from .quantum import MAX_QUBITS, GHZState, NoiseModel, depolarize_each, joint_distribution, outcome_bits
+from .quantum import MAX_QUBITS, GHZState, depolarize_each, joint_distribution, outcome_bits
 
 ABORT_EC = "ec_failure"
 ABORT_PE = "parameter_estimation"
@@ -82,14 +84,6 @@ _CHUNK = 2**14
 # Rounds per chunk of round lines: their byte matrices take about 80 bytes
 # per round, so a smaller chunk than _CHUNK keeps them near 0.3 MB.
 _LINE_CHUNK = 2**12
-
-# Packed bytes per write of a hex line: its temporaries take about five
-# bytes per packed byte.
-_HEX_SLICE = 2**13
-
-# The rounds' t, x and y1 by round class: 0 is the key round (t = 0, x = 0,
-# y1 = 2) and 1 + 2x + y1 the test question (x, y1), as in _round_distributions.
-_CLASS_FIELDS = np.array([[0, 0, 2], [1, 0, 0], [1, 0, 1], [1, 1, 0], [1, 1, 1]], dtype=np.uint8)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -152,17 +146,17 @@ class Transcript:
     @property
     def t(self) -> np.ndarray:
         """uint8 per round: 1 on test rounds, 0 on key rounds."""
-        return _CLASS_FIELDS[self.round_class, 0]
+        return ROUND_CLASSES[self.round_class, 0]
 
     @property
     def x(self) -> np.ndarray:
         """uint8 per round: Alice's input, 0 on key rounds."""
-        return _CLASS_FIELDS[self.round_class, 1]
+        return ROUND_CLASSES[self.round_class, 1]
 
     @property
     def y1(self) -> np.ndarray:
         """uint8 per round: Bob_1's input, 2 on key rounds."""
-        return _CLASS_FIELDS[self.round_class, 2]
+        return ROUND_CLASSES[self.round_class, 2]
 
     @property
     def outcomes(self) -> np.ndarray:
@@ -232,13 +226,14 @@ class Transcript:
         sink = io.BytesIO() if out is None else out
         for chunk in self._round_lines():
             sink.write(chunk)
-        if self.ec_seed is not None:
-            _write_seed_line(sink, "EC_SEED", self.ec_seed)
-            _write_hex_line(sink, f"EC_TAG {len(self.ec_tag)} ", self.ec_tag, packed=False)
+        ec, pa = self.ec_seed, self.pa_seed
+        if ec is not None:
+            write_hex_line(sink, f"EC_SEED {ec.in_len} {ec.out_len} ", ec.diagonal)
+            write_hex_line(sink, f"EC_TAG {len(self.ec_tag)} ", self.ec_tag)
             for k, disc in enumerate(self.disclosures, start=1):
-                _write_hex_line(sink, f"EC_DISCLOSE {k} {len(disc)} ", disc, packed=False)
-        if self.pa_seed is not None:
-            _write_seed_line(sink, "PA_SEED", self.pa_seed)
+                write_hex_line(sink, f"EC_DISCLOSE {k} {len(disc)} ", disc)
+        if pa is not None:
+            write_hex_line(sink, f"PA_SEED {pa.in_len} {pa.out_len} ", pa.diagonal)
         sink.write(("SUMMARY " + json.dumps(self.summary(), sort_keys=True) + "\n").encode("ascii"))
         return str(sink.getbuffer(), "ascii") if out is None else None
 
@@ -261,7 +256,7 @@ class Transcript:
             cls = self.round_class[s]
             bits = outcome_bits(self.outcome_index[s], self.n_parties)
             tail = np.full((hi - lo, width), ord(" "), dtype=np.uint8)
-            tail[:, 1:6:2] = _CLASS_FIELDS[cls]
+            tail[:, 1:6:2] = ROUND_CLASSES[cls]
             tail[:, 7] = bits[:, 0]
             tail[:, 9:-3] = bits[:, 1:]
             tail[:, 1:8:2] += ord("0")
@@ -287,25 +282,6 @@ class Transcript:
             yield buf
 
 
-def _write_hex_line(sink: BinaryIO, head: str, data: np.ndarray, *, packed: bool) -> None:
-    """Write ``head``, the hex of ``data`` and LF, ``_HEX_SLICE`` packed bytes at a time.
-
-    ``data`` is packed bytes, or 0/1 bits that are packed one slice at a
-    time; either way the hex is that of the whole string packed at once.
-    """
-    step = _HEX_SLICE if packed else 8 * _HEX_SLICE
-    sink.write(head.encode("ascii"))
-    for lo in range(0, data.size, step):
-        part = data[lo:lo + step] if packed else np.packbits(data[lo:lo + step], bitorder="little")
-        sink.write(part.tobytes().hex().encode("ascii"))
-    sink.write(b"\n")
-
-
-def _write_seed_line(sink: BinaryIO, name: str, seed: ToeplitzSeed) -> None:
-    """``<name> <in_len> <out_len> <hex>``, the hex written straight from the packed diagonal."""
-    _write_hex_line(sink, f"{name} {seed.in_len} {seed.out_len} ", seed.diagonal_bytes, packed=True)
-
-
 @dataclass
 class _Streams:
     """Named substreams of the run seed; one per stochastic operation."""
@@ -325,15 +301,9 @@ class _Streams:
 
 @lru_cache(maxsize=16)
 def _round_distributions(n_parties: int, qber: float) -> dict[int, np.ndarray]:
-    """Cumulative outcome distributions keyed by setting class.
-
-    Class 0 is the key round (all Z); classes 1 + 2x + y are the four test
-    questions with the remaining Bobs on input 1.
-    """
-    state = depolarize_each(GHZState(n_parties), NoiseModel(qber_to_pdep(qber)))
-    settings = honest_settings(n_parties)
-    classes = [settings.key] + [settings.question(x, y) for x in (0, 1) for y in (0, 1)]
-    return {cid: np.cumsum(joint_distribution(state, obs)) for cid, obs in enumerate(classes)}
+    """Cumulative outcome distributions of the honest settings, keyed by round class (game.ROUND_CLASSES)."""
+    state = depolarize_each(GHZState(n_parties), qber_to_pdep(qber))
+    return {cid: np.cumsum(joint_distribution(state, obs)) for cid, obs in enumerate(honest_settings(n_parties))}
 
 
 def _chunks(n: int, size: int = _CHUNK) -> Iterator[slice]:
@@ -364,8 +334,10 @@ def _measure_rounds(config: ProtocolConfig, streams: _Streams) -> Transcript:
     """Protocol steps 1-2: state preparation, input choice, measurement.
 
     The transcript's class and outcome-index arrays are allocated once and
-    filled ``_CHUNK`` rounds at a time, so the int64 and float64
-    temporaries of sampling exist for one chunk only.  Each stream is drawn
+    filled ``_CHUNK`` rounds at a time, so the float64 draws and the
+    per-class masks and indices of sampling exist for one chunk only; each
+    chunk's class is built in place, in uint8, from the raw ``x`` and
+    ``y1`` draws.  Each stream is drawn
     in the order a one-shot draw would use (all of ``x`` before all of
     ``y1`` from ``inputs``), and ``Generator.random`` and int64
     ``integers(0, 2)`` give the same values in chunks as in one call, so the
@@ -382,8 +354,11 @@ def _measure_rounds(config: ProtocolConfig, streams: _Streams) -> Transcript:
     tables = _round_distributions(n_par, config.qber)
     for s in _chunks(n):
         test = streams.tests.random(s.stop - s.start) < config.mu
-        cls = np.where(test, 1 + 2 * round_class[s].astype(np.int64) + outcome_index[s], 0)
-        round_class[s] = cls
+        cls = round_class[s]  # a view holding the raw x: the class 1 + 2x + y1 or 0 is built in place
+        cls *= 2
+        cls += outcome_index[s].astype(np.uint8, copy=False)
+        cls += 1
+        cls *= test
         u = streams.outcomes.random(s.stop - s.start)
         idx = outcome_index[s]  # a view: every round is in one class, so all of it is written
         for cid, cum in tables.items():
@@ -420,20 +395,17 @@ def reconcile(
     corruption experiments; any verification failure aborts the run.
 
     The raw keys are kept packed (:class:`~dicka.hashing.PackedBits`):
-    Alice's string and the disclosures are gathered ``_CHUNK`` rounds at a
-    time, and 0/1 ``bob_keys`` are packed whole.
+    Alice's string is packed and the disclosures are gathered ``_CHUNK``
+    rounds at a time, and 0/1 ``bob_keys`` are packed whole.
     """
     n, n_par = transcript.n_rounds, transcript.n_parties
     if bob_keys is not None and len(bob_keys) != n_par - 1:
         raise LengthMismatchError(f"need {n_par - 1} Bob keys, got {len(bob_keys)}")
-    packed = np.empty((n + 7) // 8, dtype=np.uint8)
     disclosures = [np.empty(transcript.n_test_rounds, dtype=np.uint8) for _ in range(1, n_par)]
-    for s, tests, scored in _test_chunks(transcript.round_class):
-        packed[s.start // 8:(s.stop + 7) // 8] = np.packbits(transcript.party_bits(0, s), bitorder="little")
+    for _, tests, scored in _test_chunks(transcript.round_class):
         for k, disc in enumerate(disclosures, start=1):
             disc[scored] = transcript.party_bits(k, tests)
-    packed.setflags(write=False)
-    alice = PackedBits(n, packed)
+    alice = pack_chunks(n, (transcript.party_bits(0, s) for s in _chunks(n)))
     # every oracle-corrected Bob holds Alice's string: share it, read-only
     bobs = [alice] * (n_par - 1) if bob_keys is None else [pack_bits(bits) for bits in bob_keys]
     transcript.disclosures = disclosures
@@ -467,7 +439,7 @@ def estimate_parameters(config: ProtocolConfig, transcript: Transcript) -> Trans
     b1, *rest = transcript.disclosures
     wins = np.empty(n_tests, dtype=np.uint8)
     for _, tests, scored in _test_chunks(transcript.round_class):
-        _, x, y1 = _CLASS_FIELDS[transcript.round_class[tests]].T
+        _, x, y1 = ROUND_CLASSES[transcript.round_class[tests]].T
         a = transcript.party_bits(0, tests)
         rest_parity = np.bitwise_xor.reduce([bits[scored] for bits in rest])
         wins[scored] = parity_chsh_wins_bulk(x, y1, a, b1[scored], rest_parity)

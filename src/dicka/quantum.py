@@ -73,15 +73,9 @@ class Observable:
         object.__setattr__(self, "matrix", mat)
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Per-qubit depolarizing probability."""
-
-    p_dep: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p_dep <= 1.0:
-            raise DomainError(f"p_dep must lie in [0, 1], got {self.p_dep!r}")
+def _check_probability(p_dep: float) -> None:
+    if not 0.0 <= p_dep <= 1.0:
+        raise DomainError(f"p_dep must lie in [0, 1], got {p_dep!r}")
 
 
 @dataclass(frozen=True)
@@ -96,17 +90,19 @@ class GHZState:
             raise SizeOutOfRangeError(
                 f"n_qubits must lie in [2, {MAX_QUBITS}] for exact simulation, got {self.n_qubits}"
             )
-        NoiseModel(self.p_dep)  # the same [0, 1] check and error
+        _check_probability(self.p_dep)
 
 
-def depolarize_each(state: GHZState, noise: NoiseModel) -> GHZState:
-    """Apply the depolarizing channel independently to every qubit.
+def depolarize_each(state: GHZState, p_dep: float) -> GHZState:
+    """Apply the depolarizing channel with probability ``p_dep`` independently to every qubit.
 
     The two channels compose into one with probability 1 - (1 - p0)(1 - p),
     written p0 + (1 - p0) p so that p0 = 0 or p = 0 returns the other
-    probability exactly.
+    probability exactly.  ``p_dep`` is checked here: on a fully depolarized
+    state (p0 = 1) the composed probability is 1 whatever ``p_dep`` is.
     """
-    return GHZState(state.n_qubits, state.p_dep + (1.0 - state.p_dep) * noise.p_dep)
+    _check_probability(p_dep)
+    return GHZState(state.n_qubits, state.p_dep + (1.0 - state.p_dep) * p_dep)
 
 
 def joint_distribution(state: GHZState, settings: Sequence[Observable]) -> np.ndarray:

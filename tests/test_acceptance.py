@@ -19,7 +19,6 @@ import numpy as np
 from dicka import (
     EpsilonBudget,
     GHZState,
-    NoiseModel,
     ProtocolConfig,
     RateParams,
     classical_value,
@@ -62,7 +61,7 @@ def test_criterion_02_quantum_value():
     elapsed_n6 = 0.0
     for n in range(2, 7):
         start = time.perf_counter()
-        state = depolarize_each(GHZState(n), NoiseModel(0.0))
+        state = depolarize_each(GHZState(n), 0.0)
         value = quantum_win_probability(state, honest_settings(n))
         if n == 6:
             elapsed_n6 = time.perf_counter() - start
@@ -76,7 +75,7 @@ def test_criterion_03_pexp_consistency():
     for n in range(2, 7):
         settings = honest_settings(n)
         for qber in (0.0, 0.01, 0.03, 0.05):
-            state = depolarize_each(GHZState(n), NoiseModel(qber_to_pdep(qber)))
+            state = depolarize_each(GHZState(n), qber_to_pdep(qber))
             sim = quantum_win_probability(state, settings)
             worst = max(worst, abs(sim - pexp_formula(n, qber)))
     ok = worst < 1e-9
@@ -203,7 +202,7 @@ def test_criterion_07_end_to_end_batch():
 
     total_tests = sum(r.n_test_rounds for r in runs)
     total_wins = sum(r.n_wins for r in runs)
-    state = depolarize_each(GHZState(3), NoiseModel(qber_to_pdep(0.02)))
+    state = depolarize_each(GHZState(3), qber_to_pdep(0.02))
     p_true = quantum_win_probability(state, honest_settings(3))
     sigma_win = math.sqrt(p_true * (1 - p_true) / total_tests)
     win_ok = abs(total_wins / total_tests - p_true) < 5 * sigma_win

@@ -9,7 +9,6 @@ import pytest
 
 from dicka import (
     GHZState,
-    NoiseModel,
     SizeOutOfRangeError,
     classical_value,
     conditioned_win_probabilities,
@@ -26,7 +25,7 @@ TSIRELSON = 0.5 + 0.5 / math.sqrt(2.0)
 
 
 def _honest_state(n, qber=0.0):
-    return depolarize_each(GHZState(n), NoiseModel(qber_to_pdep(qber)))
+    return depolarize_each(GHZState(n), qber_to_pdep(qber))
 
 
 def test_predicate_examples():
@@ -72,7 +71,7 @@ def test_quantum_value_noiseless():
 
 def test_quantum_value_fully_depolarized():
     for n in (2, 3, 4):
-        state = depolarize_each(GHZState(n), NoiseModel(1.0))
+        state = depolarize_each(GHZState(n), 1.0)
         p = quantum_win_probability(state, honest_settings(n))
         assert abs(p - 0.5) < 1e-9
 
@@ -87,7 +86,7 @@ def test_quantum_value_matches_closed_form_at_qber():
 def _conditional_chsh_win(state, settings, parity_value, flip_y):
     """Oracle: condition the joint distribution on the rest-parity, then score
     with the plain CHSH predicate (optionally with the y question flipped)."""
-    n = settings.n_parties
+    n = state.n_qubits
     idx = np.arange(2**n)
     a = (idx >> (n - 1)) & 1
     b1 = (idx >> (n - 2)) & 1
@@ -97,7 +96,7 @@ def _conditional_chsh_win(state, settings, parity_value, flip_y):
     win_mass = 0.0
     for x in (0, 1):
         for y in (0, 1):
-            dist = joint_distribution(state, [settings.alice[x], settings.bob1[y], *settings.rest])
+            dist = joint_distribution(state, settings[1 + 2 * x + y])
             y_eff = y ^ 1 if flip_y else y
             wins = (a ^ b1) == (x * y_eff)
             mass += float(dist[sel].sum()) / 4
@@ -134,7 +133,7 @@ def test_monotone_degradation_in_noise():
         settings = honest_settings(n)
         previous = 1.0
         for p_dep in np.linspace(0.0, 1.0, 50):
-            state = depolarize_each(GHZState(n), NoiseModel(float(p_dep)))
+            state = depolarize_each(GHZState(n), float(p_dep))
             value = quantum_win_probability(state, settings)
             assert value <= previous + 1e-12
             previous = value

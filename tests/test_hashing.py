@@ -1,12 +1,13 @@
 """Tests for Toeplitz hashing: construction, linearity, two-universality."""
 
+import io
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from dicka import LengthMismatchError, ToeplitzSeed, bits_to_hex, hashing, toeplitz_hash, verify_hash
-from dicka.hashing import PackedBits, as_bits, pack_bits, random_seed
+from dicka.hashing import PackedBits, as_bits, pack_bits, pack_chunks, random_seed, write_hex_line
 
 
 def _oracle_matrix(in_len, out_len, diagonal):
@@ -131,10 +132,27 @@ def test_packed_diagonal_round_trips():
         assert seed.diagonal_bits.dtype == np.uint8
         assert np.array_equal(seed.diagonal_bits, bits)
         # kept packed little-endian, the transcript's hex order, zero-padded
-        assert len(seed.diagonal_bytes) == (bits.size + 7) // 8
-        assert seed.diagonal_bytes.tobytes().hex() == bits_to_hex(bits)
+        assert seed.diagonal.n_bits == bits.size and len(seed.diagonal.data) == (bits.size + 7) // 8
+        assert seed.diagonal.data.tobytes().hex() == bits_to_hex(bits)
         again = ToeplitzSeed(in_len, out_len, seed.diagonal_bits)
-        assert np.array_equal(again.diagonal_bytes, seed.diagonal_bytes)
+        assert again.diagonal == seed.diagonal and again == seed
+        # a packed diagonal is kept as it is, not copied or checked again
+        assert ToeplitzSeed(in_len, out_len, seed.diagonal).diagonal is seed.diagonal
+    # pack_chunks packs consecutive chunks, each but the last a whole number
+    # of bytes, into the bytes pack_bits gives for the whole string, read-only
+    for n_bits in (0, 1, 8, 13, 64, 1000, 1003):
+        bits = rng.integers(0, 2, size=n_bits, dtype=np.uint8)
+        whole = pack_bits(bits)
+        for size in (8, 16, 504, 1000):
+            packed = pack_chunks(n_bits, (bits[lo:lo + size] for lo in range(0, n_bits, size)))
+            assert packed == whole and packed.n_bits == n_bits
+            assert not packed.data.flags.writeable
+    for n_bits, sizes in ((16, [7, 9]), (16, [8, 9]), (16, [8, 7]), (8, [8, 0, 1])):
+        with pytest.raises(LengthMismatchError):
+            pack_chunks(n_bits, (np.zeros(size, dtype=np.uint8) for size in sizes))
+    # packed strings compare by value
+    assert pack_bits("1011") == pack_bits([1, 0, 1, 1]) != pack_bits("1010")
+    assert pack_bits("1011") != pack_bits("10110") and pack_bits("1011") != "1011"
 
 
 def test_large_hash_runs_in_bounded_memory():
@@ -231,7 +249,7 @@ def test_random_seed_draws_in_bounded_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert seed.diagonal_bytes.size == (in_len + out_len - 1 + 7) // 8
+    assert seed.diagonal.data.size == (in_len + out_len - 1 + 7) // 8
     # plus two chunk draws (the next is drawn before the last is freed)
     assert peak < (in_len + out_len) / 8 + 3 * hashing._SEED_CHUNK
 
@@ -327,7 +345,7 @@ def test_outside_seed_is_checked_and_drawn_seed_matches_it():
         assert (drawn.in_len, drawn.out_len) == (checked.in_len, checked.out_len)
         assert drawn.diagonal_bits.dtype == checked.diagonal_bits.dtype == np.uint8
         assert np.array_equal(drawn.diagonal_bits, checked.diagonal_bits)
-        assert np.array_equal(drawn.diagonal_bytes, checked.diagonal_bytes)
+        assert drawn.diagonal == checked.diagonal
         assert drawn == checked
 
 
@@ -392,3 +410,14 @@ def test_hex_roundtrip():
         assert np.array_equal(unpacked[:n_bits], bits)
         assert not unpacked[n_bits:].any()
     assert bits_to_hex([1, 0, 1, 1]) == "0d"
+    # a hex line is written a slice at a time: across slice edges it is still
+    # the hex of the whole string, for 0/1 bits (whose slices are
+    # 8 * _HEX_SLICE bits, here with a last byte part-filled) and packed bits
+    hex_slice = hashing._HEX_SLICE
+    for n_bits in (0, 13, 8 * hex_slice - 3, 8 * hex_slice, 8 * hex_slice + 5, 2 * 8 * hex_slice + 8 * 37 + 3):
+        bits = rng.integers(0, 2, size=n_bits, dtype=np.uint8)
+        for given in (bits, pack_bits(bits)):
+            sink = io.BytesIO()
+            write_hex_line(sink, "HEAD 7 ", given)
+            assert sink.getvalue() == f"HEAD 7 {bits_to_hex(bits)}\n".encode("ascii")
+            assert bits_to_hex(given) == bits_to_hex(bits)

@@ -16,7 +16,6 @@ from dicka import (
     DomainError,
     EpsilonBudget,
     GHZState,
-    NoiseModel,
     ProtocolConfig,
     RateParams,
     TSIRELSON_BOUND,
@@ -430,7 +429,7 @@ def test_pexp_matches_exact_simulation():
     for n in (2, 3, 4, 5, 6):
         settings = honest_settings(n)
         for qber in (0.0, 0.01, 0.03, 0.05):
-            state = depolarize_each(GHZState(n), NoiseModel(qber_to_pdep(qber)))
+            state = depolarize_each(GHZState(n), qber_to_pdep(qber))
             sim = quantum_win_probability(state, settings)
             assert abs(sim - pexp_formula(n, qber)) < 1e-9
 

@@ -17,7 +17,6 @@ from dicka import (
     InvalidInputError,
     LengthMismatchError,
     MAX_QUBITS,
-    NoiseModel,
     ProtocolConfig,
     RateParams,
     SizeOutOfRangeError,
@@ -312,9 +311,9 @@ def test_round_distributions_are_the_game_tables():
     # closed-form state's agreement with the dense layer is tested in test_quantum
     for n in range(3, 7):
         for qber in (0.0, 0.013):
-            state = depolarize_each(GHZState(n), NoiseModel(qber_to_pdep(qber)))
+            state = depolarize_each(GHZState(n), qber_to_pdep(qber))
             settings = honest_settings(n)
-            dists = [joint_distribution(state, settings.key)]
+            dists = [joint_distribution(state, settings[0])]
             dists += [dist for dist, _, _ in _questions(state, settings)]
             tables = _round_distributions(n, qber)
             assert list(tables) == [0, 1, 2, 3, 4]
@@ -655,6 +654,25 @@ def test_serializing_to_a_file_holds_half_a_megabyte():
             tracemalloc.stop()
     assert tr.abort is None and tr.pa_seed is not None
     assert peak <= 0.5 * 2**20
+
+
+def test_sampling_holds_under_half_a_megabyte_above_what_it_keeps():
+    # per 2^14-round chunk: the float64 draws of the test flags and the
+    # outcome uniforms, and the masks and searchsorted results of each class;
+    # the classes are built in place in uint8, where int64 copies of them
+    # took the peak to 0.6 MB
+    for n_parties in (3, 9):
+        config = _config(n_parties=n_parties, n_rounds=2 * 10**5, mu=0.05, qber=0.02, delta=0.78, rng_seed=3)
+        _measure_rounds(dataclasses.replace(config, n_rounds=1000), _Streams.from_seed(3))  # tables, lazy set-up
+        streams = _Streams.from_seed(config.rng_seed)
+        tracemalloc.start()
+        try:
+            tr = _measure_rounds(config, streams)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tr.n_rounds == config.n_rounds
+        assert peak - kept <= 0.45 * 2**20, n_parties
 
 
 def test_every_stage_peaks_near_what_the_run_keeps():

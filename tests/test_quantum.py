@@ -10,13 +10,13 @@ from dicka import (
     DimensionMismatchError,
     DomainError,
     GHZState,
-    NoiseModel,
     Observable,
     SizeOutOfRangeError,
     depolarize_each,
     honest_settings,
     joint_distribution,
 )
+from dicka.game import ROUND_CLASSES
 from dicka.quantum import MAX_QUBITS, PAULI_I, PAULI_X, PAULI_Z, outcome_bits
 
 SQRT2 = math.sqrt(2.0)
@@ -99,7 +99,7 @@ def test_make_ghz_three_qubits():
 def test_depolarize_identity_channel():
     amp = _make_ghz(3)
     assert np.max(np.abs(_dense_ghz(3, 0.0) - np.outer(amp, amp.conj()))) < 1e-12
-    assert depolarize_each(GHZState(3), NoiseModel(0.0)) == GHZState(3, 0.0)
+    assert depolarize_each(GHZState(3), 0.0) == GHZState(3, 0.0)
 
 
 def test_depolarize_full_on_single_qubit():
@@ -140,26 +140,24 @@ def _matrices_are(observables, matrices):
 
 
 def test_honest_settings_mapping():
-    zpx = (PAULI_Z + PAULI_X) / np.sqrt(2.0)
-    zmx = (PAULI_Z - PAULI_X) / np.sqrt(2.0)
+    # class 0 is the key round, class 1 + 2x + y1 the test question (x, y1)
+    alice = [PAULI_Z, PAULI_X]
+    bob1 = [(PAULI_Z + PAULI_X) / np.sqrt(2.0), (PAULI_Z - PAULI_X) / np.sqrt(2.0)]
+    assert ROUND_CLASSES.dtype == np.uint8
+    assert ROUND_CLASSES.tolist() == [[0, 0, 2], [1, 0, 0], [1, 0, 1], [1, 1, 0], [1, 1, 1]]
     for n in (2, 3, 5):
         s = honest_settings(n)
-        assert _matrices_are(s.alice, [PAULI_Z, PAULI_X])
-        assert _matrices_are(s.bob1, [zpx, zmx])
-        assert _matrices_are(s.rest, [PAULI_X] * (n - 2))
-        assert _matrices_are(s.key, [PAULI_Z] * n)
-        assert s.n_parties == n
+        assert len(s) == len(ROUND_CLASSES) == 5
+        assert _matrices_are(s[0], [PAULI_Z] * n)
         for x in (0, 1):
             for y in (0, 1):
-                question = s.question(x, y)
-                assert len(question) == n
-                assert question[0] is s.alice[x] and question[1] is s.bob1[y]
-                assert all(got is want for got, want in zip(question[2:], s.rest))
+                question = s[1 + 2 * x + y]
+                assert ROUND_CLASSES[1 + 2 * x + y].tolist() == [1, x, y]
+                assert _matrices_are(question, [alice[x], bob1[y]] + [PAULI_X] * (n - 2))
 
 
 def test_observables_are_involutions():
-    s = honest_settings(3)
-    for obs in (*s.alice, *s.bob1, *s.rest, *s.key):
+    for obs in (obs for observables in honest_settings(3) for obs in observables):
         assert np.max(np.abs(obs.matrix @ obs.matrix - PAULI_I)) < 1e-12
 
 
@@ -174,7 +172,7 @@ def test_outcome_bits_repack_to_index():
 
 def test_joint_distribution_ghz_all_z():
     for n in (2, 3, 5):
-        dist = joint_distribution(GHZState(n), honest_settings(n).key)
+        dist = joint_distribution(GHZState(n), honest_settings(n)[0])
         assert abs(dist[0] - 0.5) < 1e-12
         assert abs(dist[-1] - 0.5) < 1e-12
         assert np.max(np.abs(dist[1:-1])) < 1e-12
@@ -188,9 +186,7 @@ def test_joint_distribution_single_qubit():
 
 def test_joint_distribution_correlator_oracle():
     # direct 4x4 matrix-trace oracle for <X (x) (Z+X)/sqrt2> on GHZ_2
-    settings = honest_settings(2)
-    obs_a = settings.alice[1]
-    obs_b = settings.bob1[0]
+    obs_a, obs_b = honest_settings(2)[3]  # x = 1, y1 = 0
     oracle = np.trace(_dense_ghz(2) @ np.kron(obs_a.matrix, obs_b.matrix)).real
     dist = joint_distribution(GHZState(2), [obs_a, obs_b])
     signs = np.array([1.0, -1.0, -1.0, 1.0])  # (-1)^(a xor b)
@@ -207,11 +203,11 @@ def test_born_rule_normalisation_all_setting_combos():
     # every party on every honest observable it can hold: Z and X, or Bob_1's three
     for n in range(2, 7):
         s = honest_settings(n)
-        z, x = s.alice
-        state = depolarize_each(GHZState(n), NoiseModel(0.13))
+        z, x = s[1][0], s[3][0]  # Alice's observables for x = 0 and x = 1
+        state = depolarize_each(GHZState(n), 0.13)
         for rest in itertools.product((z, x), repeat=n - 2):
-            for obs_a in s.alice:
-                for obs_b in (*s.bob1, s.key[1]):
+            for obs_a in (z, x):
+                for obs_b in (s[1][1], s[2][1], s[0][1]):
                     dist = joint_distribution(state, [obs_a, obs_b, *rest])
                     assert abs(float(dist.sum()) - 1.0) < 1e-10
 
@@ -226,9 +222,7 @@ def _random_observables(rng, n):
 
 
 def _closed_form_classes(n, rng):
-    s = honest_settings(n)
-    honest = [s.key] + [s.question(x, y) for x in (0, 1) for y in (0, 1)]
-    return honest + [_random_observables(rng, n)]
+    return honest_settings(n) + [_random_observables(rng, n)]
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -249,7 +243,7 @@ def test_ghz_state_depolarizes_like_dense():
     rng = np.random.default_rng(7)
     for n in (2, 3, 5):
         for p0, p1 in ((0.0, 0.013), (0.013, 0.2), (0.2, 1.0), (0.37, 0.0)):
-            closed = depolarize_each(depolarize_each(GHZState(n), NoiseModel(p0)), NoiseModel(p1))
+            closed = depolarize_each(depolarize_each(GHZState(n), p0), p1)
             assert isinstance(closed, GHZState)
             assert abs(closed.p_dep - (1 - (1 - p0) * (1 - p1))) < 1e-15
             dense = _depolarize(_dense_ghz(n, p0), n, p1)
@@ -266,5 +260,8 @@ def test_ghz_state_validation():
     for p in (-0.01, 1.01):
         with pytest.raises(DomainError):
             GHZState(3, p)
+        # a fully depolarized state would compose any p into 1 + 0 * p = 1
+        with pytest.raises(DomainError):
+            depolarize_each(GHZState(3, 1.0), p)
     with pytest.raises(DimensionMismatchError):
         joint_distribution(GHZState(3), [Observable(PAULI_Z)] * 2)
