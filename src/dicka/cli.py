@@ -6,7 +6,8 @@ simulate   run the protocol end to end, write the transcript file
 keylen     evaluate the finite-size key length, print the term breakdown
 rates      sweep asymptotic rates over (N, Q), emit CSV
 compare    alias of rates (the CSV carries both protocol and baseline columns)
-game       print the classical and quantum game values
+game       print the classical and quantum game values and the quantum value
+           conditioned on the parity of the other Bobs' outputs
 
 Exit codes: 0 success, 1 tool error (bad config, bad arguments, I/O),
 2 protocol abort.  Configs are flat ``key = value`` text; ``#`` starts a
@@ -25,7 +26,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import DomainError, InvalidInputError, LengthMismatchError, SizeOutOfRangeError
-from .game import classical_value, honest_settings, quantum_win_probability
+from .game import classical_value, conditioned_win_probabilities, honest_settings, quantum_win_probability
 from .keyrate import (
     EpsilonBudget,
     RateParams,
@@ -183,13 +184,18 @@ def cmd_game(args: argparse.Namespace) -> int:
     qber = _get_float(cfg, "qber")
     classical = classical_value(n_parties)
     state = depolarize_each(GHZState(n_parties), qber_to_pdep(qber))
-    quantum = quantum_win_probability(state, honest_settings(n_parties))
+    settings = honest_settings(n_parties)
     lines = [
         f"n_parties = {n_parties}",
         f"qber = {_fmt(qber)}",
         f"classical_value = {Fraction(classical)}",
-        f"quantum_win_probability = {_fmt(quantum)}",
+        f"quantum_win_probability = {_fmt(quantum_win_probability(state, settings))}",
     ]
+    # given the parity of Bob_2..Bob_{N-1}'s outputs the game is CHSH (parity
+    # 0) or CHSH with Bob_1's input flipped (parity 1)
+    for parity, (weight, win) in conditioned_win_probabilities(state, settings).items():
+        lines.append(f"rest_parity_{parity}_weight = {_fmt(weight)}")
+        lines.append(f"rest_parity_{parity}_win_probability = {_fmt(win)}")
     _write_output("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

@@ -258,6 +258,23 @@ def test_game_two_party_chsh(tmp_path):
     assert abs(float(kv["quantum_win_probability"]) - (0.5 + 0.5 / math.sqrt(2))) < 1e-9
 
 
+def test_game_prints_the_parity_decomposition(tmp_path):
+    # the abstract's argument: given the parity of the other Bobs' outputs the
+    # game is CHSH or relabelled CHSH, and the two conditional values,
+    # weighted by how often each parity occurs, make up the quantum value
+    for n_parties in (2, 3, 4, 5, 6):
+        for qber in ("0", "0.013", "0.05", "0.2"):
+            cfg = _write(tmp_path, "game.cfg", f"n_parties = {n_parties}\nqber = {qber}\n")
+            out = tmp_path / "game.txt"
+            assert main(["game", "--config", cfg, "--out", str(out)]) == 0
+            kv = _kv(out.read_text())
+            weights = [float(kv[f"rest_parity_{parity}_weight"]) for parity in (0, 1)]
+            wins = [float(kv[f"rest_parity_{parity}_win_probability"]) for parity in (0, 1)]
+            assert abs(sum(weights) - 1.0) <= 1e-15
+            recombined = sum(weight * win for weight, win in zip(weights, wins))
+            assert abs(recombined - float(kv["quantum_win_probability"])) <= 1e-15
+
+
 def test_game_enumeration_bound(tmp_path):
     cfg = _write(tmp_path, "game.cfg", GAME_CONFIG.replace("n_parties = 3", "n_parties = 7"))
     assert main(["game", "--config", cfg]) == 1

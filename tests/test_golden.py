@@ -116,11 +116,11 @@ CLI_CASES = {
     ),
     "game_n3": (
         "game", "n_parties = 3\nqber = 0.013\n", [],
-        "06f596993ce41bae9618b0255d83b9adac10f9e0a6073ec0469193a548a60839",
+        "08b0bacec8a3b9a40c0469a80d9bc62f45c15529e44058d58a47b666a684df60",
     ),
     "game_n6": (
         "game", "n_parties = 6\nqber = 0.013\n", [],
-        "66e2e73419c8d8c304984770a08c9cf853f8a1113fb7e4eed66d9e8dbbaa9b01",
+        "98228633cc8d7773c6921f69134b3a8fcb037deb71f4345525cba22ffa1e494f",
     ),
 }
 
