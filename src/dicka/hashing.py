@@ -127,7 +127,7 @@ def pack_bits(bits: Union[BitsLike, PackedBits]) -> PackedBits:
     if isinstance(bits, PackedBits):
         return bits
     arr = as_bits(bits)
-    return pack_chunks(arr.size, [arr])
+    return PackedBits(arr.size, np.packbits(arr, bitorder="little"))
 
 
 def _unpacked(data: np.ndarray, lo: int, hi: int) -> np.ndarray:
