@@ -335,14 +335,13 @@ def _measure_rounds(config: ProtocolConfig, streams: _Streams) -> Transcript:
 
     The transcript's class and outcome-index arrays are allocated once and
     filled ``_CHUNK`` rounds at a time, so the float64 draws and the
-    per-class masks and indices of sampling exist for one chunk only; each
-    chunk's class is built in place, in uint8, from the raw ``x`` and
-    ``y1`` draws.  Each stream is drawn
-    in the order a one-shot draw would use (all of ``x`` before all of
-    ``y1`` from ``inputs``), and ``Generator.random`` and int64
-    ``integers(0, 2)`` give the same values in chunks as in one call, so the
-    rounds do not depend on ``_CHUNK``.  The raw ``x`` and ``y1`` draws wait
-    in the class and index arrays until their chunk is sampled.
+    per-class masks and indices of sampling exist for one chunk only.  Each
+    stream is drawn in the order a one-shot draw would use (all of ``x``
+    before all of ``y1`` from ``inputs``), and ``Generator.random`` and
+    int64 ``integers(0, 2)`` give the same values in chunks as in one call,
+    so the rounds do not depend on ``_CHUNK``.  The raw ``x`` and ``y1``
+    draws wait in the class and index arrays until their chunk is sampled;
+    then the chunk's class is built in place from them, in uint8.
     """
     n, n_par = config.n_rounds, config.n_parties
     round_class = np.empty(n, dtype=np.uint8)
