@@ -23,19 +23,19 @@ are numpy uint8 arrays of 0/1 (helpers accept '01' strings too) or, for
 long strings that are kept, :class:`PackedBits`: bit i of the string is
 bit i % 8 of byte i // 8 (little-endian within each byte), and the hex of
 a string is the lowercase hex of those bytes.  ``pack_bits`` packs a whole
-string, ``pack_chunks`` packs one chunk at a time, ``_unpacked`` reads a
-slice back, ``bits_to_hex`` writes the hex and ``write_hex_line`` writes it
-to a file a slice at a time.
+string, ``pack_chunks`` packs one chunk at a time, ``bits_to_hex`` writes
+the hex and ``write_hex_line`` writes it to a file a slice at a time.  A
+:class:`PackedBits` is read like a 0/1 array: ``len(s)``, and ``s[lo:hi]``
+gives bits lo..hi - 1 as uint8 0/1, so code that reads a bit string a
+slice at a time reads both kinds the same way.
 
 A seed keeps its diagonal as a :class:`PackedBits`, so a kept seed costs
 (in_len + out_len) / 8 bytes; it is drawn one chunk at a time.  The hash
-reads its input packed the same way: a packed input is used as it is, and
-0/1 bits are checked and packed first.  The hash unpacks the input and the
-diagonal one block at a time, so it never holds an unpacked copy of
-either.  Its working memory is about 8 * _BLOCK + 4 * out_len bytes of
+reads the diagonal and its input one block slice at a time, so it never
+holds an unpacked copy of a packed string, and it neither packs nor copies
+a 0/1 input.  Its working memory is about 8 * _BLOCK + 4 * out_len bytes of
 float32 block operands (0.25 MB for a short output), 2 * _BLOCK bytes of
-unpacked bits and 8 * out_len bytes of int64 sums, whatever in_len is,
-plus in_len / 8 bytes when it has to pack a 0/1 input.
+unpacked bits and 8 * out_len bytes of int64 sums, whatever in_len is.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ BitsLike = Union[str, Sequence[int], np.ndarray]
 # Input bits per correlate call.  Must stay <= 2**24: a block's sums reach
 # _BLOCK, and float32 holds every integer up to 2**24 exactly.  A call's
 # float32 operands take about 8 * _BLOCK + 4 * out_len bytes (0.25 MB at
-# this size for a short output), whatever in_len is; 2**15 rather than
-# 2**16 pays for the packed copy of a 0/1 input.
+# this size for a short output), whatever in_len is; blocks of 2**14 to
+# 2**16 bits hash 2e5 or 1e6 bits in the same time, so larger ones only cost memory.
 _BLOCK = 2**15
 
 # Diagonal bits per draw in random_seed: a multiple of 8, so each chunk
@@ -60,8 +60,8 @@ _BLOCK = 2**15
 # buffered uint8 draws give the one-shot values when split.
 _SEED_CHUNK = 2**16
 
-# Packed bytes per write of a hex line: its temporaries take about five
-# bytes per packed byte.
+# Packed bytes per write of a hex line: its temporaries take at most about
+# 13 bytes per packed byte (unpacked bits, packed bytes, two copies of the hex).
 _HEX_SLICE = 2**13
 
 
@@ -101,6 +101,17 @@ class PackedBits:
             return NotImplemented
         return self.n_bits == other.n_bits and bool(np.array_equal(self.data, other.data))
 
+    def __len__(self) -> int:
+        return self.n_bits
+
+    def __getitem__(self, index: slice) -> np.ndarray:
+        """The bits of a contiguous slice as a uint8 array of 0/1, unpacked from the bytes that hold them."""
+        if not isinstance(index, slice) or index.step not in (None, 1):
+            raise TypeError("a packed bit string is read by contiguous slices only")
+        lo, hi, _ = index.indices(self.n_bits)
+        hi, first = max(lo, hi), lo // 8
+        return np.unpackbits(self.data[first:(hi + 7) // 8], bitorder="little")[lo - 8 * first:hi - 8 * first]
+
 
 def pack_chunks(n_bits: int, chunks: Iterable[np.ndarray]) -> PackedBits:
     """Pack a string of ``n_bits`` bits given as consecutive uint8 0/1 chunks; the bytes are read-only.
@@ -130,12 +141,6 @@ def pack_bits(bits: Union[BitsLike, PackedBits]) -> PackedBits:
     return PackedBits(arr.size, np.packbits(arr, bitorder="little"))
 
 
-def _unpacked(data: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Bits lo..hi - 1 of the little-endian packed ``data`` as a uint8 array of 0/1."""
-    first = lo // 8
-    return np.unpackbits(data[first:(hi + 7) // 8], bitorder="little")[lo - 8 * first:hi - 8 * first]
-
-
 def bits_to_hex(bits: Union[BitsLike, PackedBits]) -> str:
     return pack_bits(bits).data.tobytes().hex()
 
@@ -143,18 +148,12 @@ def bits_to_hex(bits: Union[BitsLike, PackedBits]) -> str:
 def write_hex_line(sink: BinaryIO, head: str, bits: Union[np.ndarray, PackedBits]) -> None:
     """Write ``head``, ``bits_to_hex(bits)`` and LF to the binary file ``sink``.
 
-    The hex goes out ``_HEX_SLICE`` packed bytes at a time: a
-    :class:`PackedBits` straight from its bytes, 0/1 bits checked and packed
-    one slice at a time.  Either way no more than one slice is held.
+    The hex goes out ``_HEX_SLICE`` packed bytes at a time, each slice read
+    from ``bits`` and packed on its own, so no more than one slice is held.
     """
     sink.write(head.encode("ascii"))
-    if isinstance(bits, PackedBits):
-        slices = (bits.data[lo:lo + _HEX_SLICE] for lo in range(0, bits.data.size, _HEX_SLICE))
-    else:
-        step = 8 * _HEX_SLICE
-        slices = (pack_bits(bits[lo:lo + step]).data for lo in range(0, len(bits), step))
-    for part in slices:
-        sink.write(part.tobytes().hex().encode("ascii"))
+    for lo in range(0, len(bits), 8 * _HEX_SLICE):
+        sink.write(bits_to_hex(bits[lo:lo + 8 * _HEX_SLICE]).encode("ascii"))
     sink.write(b"\n")
 
 
@@ -191,7 +190,7 @@ class ToeplitzSeed:
     @property
     def diagonal_bits(self) -> np.ndarray:
         """The diagonal as a uint8 array of 0/1, unpacked on each access."""
-        return _unpacked(self.diagonal.data, 0, self.diagonal.n_bits)
+        return self.diagonal[:]
 
 
 def random_seed(in_len: int, out_len: int, rng: np.random.Generator) -> ToeplitzSeed:
@@ -215,8 +214,8 @@ def random_seed(in_len: int, out_len: int, rng: np.random.Generator) -> Toeplitz
 def toeplitz_hash(seed: ToeplitzSeed, input: Union[BitsLike, PackedBits]) -> np.ndarray:
     """GF(2) product T @ input; output has out_len bits.
 
-    The input may be 0/1 bits or a :class:`PackedBits`; 0/1 bits are
-    checked and packed first, so both kinds go through the same blocks.
+    The input may be 0/1 bits, checked and then sliced as they are, or a
+    :class:`PackedBits`, unpacked a slice at a time, in the same blocks.
 
     With r the reversed input, entry j of the product's integer row sum is
     sum_k diagonal_bits[j + k] * r[k].  The k in one block [m0, m1) of r
@@ -230,10 +229,10 @@ def toeplitz_hash(seed: ToeplitzSeed, input: Union[BitsLike, PackedBits]) -> np.
     depend on the block size or on the order of addition, and the low bit
     of each total (``& 1``) is the GF(2) product.
     """
-    packed = pack_bits(input)
+    bits = input if isinstance(input, PackedBits) else as_bits(input)
     in_len, out_len = seed.in_len, seed.out_len
-    if packed.n_bits != in_len:
-        raise LengthMismatchError(f"input has {packed.n_bits} bits, seed expects {in_len}")
+    if len(bits) != in_len:
+        raise LengthMismatchError(f"input has {len(bits)} bits, seed expects {in_len}")
     if out_len == 0:
         return np.zeros(0, dtype=np.uint8)
 
@@ -242,8 +241,8 @@ def toeplitz_hash(seed: ToeplitzSeed, input: Union[BitsLike, PackedBits]) -> np.
         # the last block clips at in_len, and its diagonal slice with it
         m1 = min(m0 + _BLOCK, in_len)
         return np.correlate(
-            _unpacked(seed.diagonal.data, m0, m1 + out_len - 1).astype(np.float32),
-            _unpacked(packed.data, in_len - m1, in_len - m0)[::-1].astype(np.float32),
+            seed.diagonal[m0:m1 + out_len - 1].astype(np.float32),
+            bits[in_len - m1:in_len - m0][::-1].astype(np.float32),
             "valid",
         ).astype(np.int64)
 

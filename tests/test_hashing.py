@@ -108,6 +108,28 @@ def test_packed_and_bit_inputs_match_the_dense_oracle(block, monkeypatch):
                 assert verify_hash(seed, packed, want)
 
 
+def test_packed_bits_read_like_a_bit_array():
+    # len and every contiguous slice, across byte edges, empty, reversed and
+    # negative, give what the unpacked bits give
+    rng = np.random.Generator(np.random.PCG64(79))
+    for n_bits in range(42):
+        bits = rng.integers(0, 2, size=n_bits, dtype=np.uint8)
+        packed = pack_bits(bits)
+        assert len(packed) == n_bits
+        unpacked = np.unpackbits(packed.data, bitorder="little")[:n_bits]
+        assert np.array_equal(unpacked, bits)
+        for lo in range(-2, n_bits + 2):
+            for hi in range(-2, n_bits + 2):
+                got = packed[lo:hi]
+                assert got.dtype == np.uint8 and np.array_equal(got, unpacked[lo:hi])
+        assert np.array_equal(packed[:], bits) and np.array_equal(packed[3:], bits[3:])
+        assert np.array_equal(packed[::1], bits) and np.array_equal(packed[:-3], bits[:-3])
+    packed = pack_bits("10110")
+    for index in (0, -1, np.int64(2), slice(0, 4, 2), slice(None, None, -1), [0, 1], (slice(0, 2),)):
+        with pytest.raises(TypeError):
+            packed[index]
+
+
 def test_packed_input_is_checked_and_passed_through():
     seed = ToeplitzSeed(4, 2, "10110")
     packed = pack_bits("1011")
@@ -214,10 +236,11 @@ def test_long_input_hash_holds_bounded_memory():
 
 def test_hash_block_operands_are_single_precision():
     # float32 block operands of _BLOCK input bits and their diagonal slice,
-    # plus the packed copy of this 0/1 input: about 0.5 MB here, where
-    # float64 operands of 2^16 bits took 1 MB
+    # about 0.25 MB whatever in_len is, where float64 operands of 2^16 bits
+    # took 1 MB; a 0/1 input is sliced as it is, where packing it first would
+    # add in_len / 8 = 1 MB here
     rng = np.random.Generator(np.random.PCG64(61))
-    in_len, out_len = 2 * 10**6, 27
+    in_len, out_len = 2**23, 27
     seed = random_seed(in_len, out_len, rng)
     x = rng.integers(0, 2, size=in_len, dtype=np.uint8)
     tracemalloc.start()
@@ -226,8 +249,9 @@ def test_hash_block_operands_are_single_precision():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.6 * 2**20
-    assert np.array_equal(out, _one_shot_hash(seed, x))
+    assert peak < 0.35 * 2**20
+    d = seed.diagonal_bits
+    assert out.tolist() == [np.count_nonzero(d[j:j + in_len][::-1] & x) % 2 for j in range(out_len)]
 
 
 def test_block_keeps_float32_sums_exact():
