@@ -10,7 +10,7 @@ them (class 0 is the key round, class 1 + 2x + y1 the test question
 (x, y1)) and ``honest_settings`` gives every party's honest observable in
 each, indexed by class id; the protocol samples, stores and scores rounds
 by these ids.  The module also evaluates the predicate, computes the exact
-classical value by exhaustive enumeration of deterministic strategies, and
+classical value by enumerating deterministic strategies, and
 computes the quantum winning probability of a depolarized GHZ state
 (``GHZState``) under per-class settings, in total and conditioned on the
 parity of the other Bobs' outputs.
@@ -46,22 +46,22 @@ def parity_chsh_wins_bulk(x, y, a, b1, rest_parity) -> np.ndarray:
 
 
 def classical_value(n_parties: int) -> Fraction:
-    """Maximum winning probability over deterministic strategies, exactly.
+    """Maximum winning probability over deterministic strategies, exactly, for any N >= 2.
 
-    Enumerates all 4 * 4 * 2**(N-2) strategies (Alice's and Bob_1's answer
-    tables, fixed bits for the rest) against the four uniform (x, y)
-    questions; the result is an exact rational.
+    The predicate sees the other Bobs only through the parity c of their
+    outputs, a constant in a deterministic strategy: 0 at N = 2, either value
+    from N = 3 on.  So Alice's and Bob_1's answer tables and c, against the
+    four uniform (x, y) questions, cover every strategy.
     """
-    if not 2 <= n_parties <= 6:
-        raise SizeOutOfRangeError(f"classical value enumeration supports 2..6 parties, got {n_parties}")
-    # columns: a(0), a(1), b1(0), b1(1), the other Bobs' bits, then x, y
-    plays = np.array(list(product((0, 1), repeat=n_parties + 4)), dtype=np.int64)
-    x, y = plays[:, -2], plays[:, -1]
+    if n_parties < 2:
+        raise SizeOutOfRangeError(f"the game needs at least two parties, got {n_parties}")
+    # columns: a(0), a(1), b1(0), b1(1), c, then x, y
+    plays = np.array(list(product(*[(0, 1)] * 4, range(min(n_parties - 1, 2)), (0, 1), (0, 1))))
+    c, x, y = plays[:, 4:].T
     a = np.where(x == 1, plays[:, 1], plays[:, 0])
     b1 = np.where(y == 1, plays[:, 3], plays[:, 2])
-    parity = plays[:, 4:-2].sum(axis=1) & 1
     # (x, y) vary fastest, so each strategy owns four consecutive rows
-    wins = parity_chsh_wins_bulk(x, y, a, b1, parity).reshape(-1, 4).sum(axis=1)
+    wins = parity_chsh_wins_bulk(x, y, a, b1, c).reshape(-1, 4).sum(axis=1)
     return Fraction(int(wins.max()), 4)
 
 
@@ -112,7 +112,7 @@ def quantum_win_probability(state: GHZState, settings: list[list[Observable]]) -
 def conditioned_win_probabilities(
     state: GHZState, settings: list[list[Observable]]
 ) -> dict[int, tuple[float, float]]:
-    """Map parity value -> (probability of that parity, conditional win probability).
+    """Map each parity that occurs -> (its probability, conditional win probability).
 
     The parity marginal is input-independent (no signalling), so the weights
     are averaged over the four question pairs; the convex combination of the
@@ -125,4 +125,4 @@ def conditioned_win_probabilities(
             sel = parity == par
             mass[par] += float(dist[sel].sum()) / 4.0
             win_mass[par] += float(dist[sel & wins].sum()) / 4.0
-    return {par: (mass[par], win_mass[par] / mass[par] if mass[par] > 0 else 0.0) for par in (0, 1)}
+    return {par: (mass[par], win_mass[par] / mass[par]) for par in (0, 1) if mass[par] > 0}

@@ -261,23 +261,32 @@ def test_game_two_party_chsh(tmp_path):
 def test_game_prints_the_parity_decomposition(tmp_path):
     # the abstract's argument: given the parity of the other Bobs' outputs the
     # game is CHSH or relabelled CHSH, and the two conditional values,
-    # weighted by how often each parity occurs, make up the quantum value
-    for n_parties in (2, 3, 4, 5, 6):
+    # weighted by how often each parity occurs, make up the quantum value;
+    # only the parities that occur are printed, so N = 2 prints parity 0 alone
+    for n_parties in (2, 3, 4, 5, 6, 7, 12):
         for qber in ("0", "0.013", "0.05", "0.2"):
             cfg = _write(tmp_path, "game.cfg", f"n_parties = {n_parties}\nqber = {qber}\n")
             out = tmp_path / "game.txt"
             assert main(["game", "--config", cfg, "--out", str(out)]) == 0
             kv = _kv(out.read_text())
-            weights = [float(kv[f"rest_parity_{parity}_weight"]) for parity in (0, 1)]
-            wins = [float(kv[f"rest_parity_{parity}_win_probability"]) for parity in (0, 1)]
+            parities = [int(key.split("_")[2]) for key in kv if key.endswith("_weight")]
+            assert parities == ([0] if n_parties == 2 else [0, 1])
+            printed = {key for key in kv if key.startswith("rest_parity_")}
+            assert printed == {f"rest_parity_{p}_{what}" for p in parities for what in ("weight", "win_probability")}
+            weights = [float(kv[f"rest_parity_{parity}_weight"]) for parity in parities]
+            wins = [float(kv[f"rest_parity_{parity}_win_probability"]) for parity in parities]
             assert abs(sum(weights) - 1.0) <= 1e-15
             recombined = sum(weight * win for weight, win in zip(weights, wins))
             assert abs(recombined - float(kv["quantum_win_probability"])) <= 1e-15
 
 
-def test_game_enumeration_bound(tmp_path):
-    cfg = _write(tmp_path, "game.cfg", GAME_CONFIG.replace("n_parties = 3", "n_parties = 7"))
-    assert main(["game", "--config", cfg]) == 1
+def test_game_enumeration_bound(tmp_path, capsys):
+    # the classical value holds for every N >= 2; the quantum value stops
+    # where GHZState's exact simulation does, at 12 parties
+    for n_parties, message in ((1, "at least two parties"), (13, "n_qubits must lie in [2, 12]")):
+        cfg = _write(tmp_path, "game.cfg", GAME_CONFIG.replace("n_parties = 3", f"n_parties = {n_parties}"))
+        assert main(["game", "--config", cfg]) == 1
+        assert message in capsys.readouterr().err
 
 
 def test_unknown_command_is_tool_error(tmp_path):

@@ -51,16 +51,31 @@ def test_bulk_predicate_matches_scalar():
     assert wins.tolist() == [(ai ^ bi) == xi * ((yi + pi) % 2) for xi, yi, ai, bi, pi in cases]
 
 
+def _enumerated_classical_value(n_parties):
+    """Oracle: every deterministic strategy, with each other Bob's bit fixed apart, 4 * 4 * 2**(N-2) of them."""
+    # columns: a(0), a(1), b1(0), b1(1), the other Bobs' bits, then x, y
+    plays = np.array(list(product((0, 1), repeat=n_parties + 4)), dtype=np.int64)
+    x, y = plays[:, -2], plays[:, -1]
+    a = np.where(x == 1, plays[:, 1], plays[:, 0])
+    b1 = np.where(y == 1, plays[:, 3], plays[:, 2])
+    parity = plays[:, 4:-2].sum(axis=1) & 1
+    # (x, y) vary fastest, so each strategy owns four consecutive rows
+    wins = parity_chsh_wins_bulk(x, y, a, b1, parity).reshape(-1, 4).sum(axis=1)
+    return Fraction(int(wins.max()), 4)
+
+
 def test_classical_value_exact():
     for n in (2, 3, 4, 5, 6):
+        assert classical_value(n) == _enumerated_classical_value(n) == Fraction(3, 4)
+    for n in (7, 8, 12, 13, 40):
         assert classical_value(n) == Fraction(3, 4)
 
 
 def test_classical_value_bounds():
-    with pytest.raises(SizeOutOfRangeError):
-        classical_value(7)
-    with pytest.raises(SizeOutOfRangeError):
-        classical_value(1)
+    # the parity reduction holds for every N >= 2, so only N < 2 is refused
+    for n in (1, 0, -3):
+        with pytest.raises(SizeOutOfRangeError):
+            classical_value(n)
 
 
 def test_quantum_value_noiseless():
@@ -102,6 +117,16 @@ def _conditional_chsh_win(state, settings, parity_value, flip_y):
             mass += float(dist[sel].sum()) / 4
             win_mass += float(dist[sel & wins].sum()) / 4
     return mass, win_mass / mass
+
+
+def test_only_occurring_parities_are_returned():
+    # at N = 2 there are no other Bobs, so their parity is always 0; from
+    # N = 3 on both parities occur, even without noise
+    for n in (2, 3, 6, 12):
+        for qber in (0.0, 0.03):
+            conditioned = conditioned_win_probabilities(_honest_state(n, qber), honest_settings(n))
+            assert sorted(conditioned) == ([0] if n == 2 else [0, 1])
+            assert all(weight > 0 for weight, _ in conditioned.values())
 
 
 def test_parity_conditioning_reduces_to_chsh():
