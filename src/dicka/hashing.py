@@ -31,11 +31,11 @@ slice at a time reads both kinds the same way.
 
 A seed keeps its diagonal as a :class:`PackedBits`, so a kept seed costs
 (in_len + out_len) / 8 bytes; it is drawn one chunk at a time.  The hash
-reads the diagonal and its input one block slice at a time, so it never
-holds an unpacked copy of a packed string, and it neither packs nor copies
-a 0/1 input.  Its working memory is about 8 * _BLOCK + 4 * out_len bytes of
-float32 block operands (0.25 MB for a short output), 2 * _BLOCK bytes of
-unpacked bits and 8 * out_len bytes of int64 sums, whatever in_len is.
+reads the diagonal and its input one block slice at a time: it never holds
+an unpacked copy of a packed string, and copies a 0/1 input only to cast
+it to uint8.  Its working memory is about 8 * _BLOCK + 4 * out_len bytes
+of float32 block operands (0.25 MB for a short output), 2 * _BLOCK bytes
+of unpacked bits and 8 * out_len bytes of int64 sums, whatever in_len is.
 """
 
 from __future__ import annotations
