@@ -12,12 +12,13 @@ each, indexed by class id; the protocol samples, stores and scores rounds
 by these ids.  The module also evaluates the predicate, computes the exact
 classical value by enumerating deterministic strategies, and
 computes the quantum winning probability of a depolarized GHZ state
-(``GHZState``) under per-class settings, in total and conditioned on the
+(``GHZState``) under the honest settings, in total and conditioned on the
 parity of the other Bobs' outputs.
 """
 
 from __future__ import annotations
 
+import numbers
 from fractions import Fraction
 from itertools import product
 from typing import Iterator
@@ -53,8 +54,8 @@ def classical_value(n_parties: int) -> Fraction:
     from N = 3 on.  So Alice's and Bob_1's answer tables and c, against the
     four uniform (x, y) questions, cover every strategy.
     """
-    if n_parties < 2:
-        raise SizeOutOfRangeError(f"the game needs at least two parties, got {n_parties}")
+    if not isinstance(n_parties, numbers.Integral) or n_parties < 2:
+        raise SizeOutOfRangeError(f"the game needs at least two parties, as an integer, got {n_parties!r}")
     # columns: a(0), a(1), b1(0), b1(1), c, then x, y
     plays = np.array(list(product(*[(0, 1)] * 4, range(min(n_parties - 1, 2)), (0, 1), (0, 1))))
     c, x, y = plays[:, 4:].T
@@ -83,36 +84,32 @@ def honest_settings(n_parties: int) -> list[list[Observable]]:
     1 + 2x + y1): Alice Z/X, Bob_1 (Z+-X)/sqrt2, the other Bobs X for their
     fixed input 1.
     """
-    if n_parties < 2:
-        raise SizeOutOfRangeError("need at least two parties")
+    if not isinstance(n_parties, numbers.Integral) or n_parties < 2:
+        raise SizeOutOfRangeError(f"need at least two parties, as an integer, got {n_parties!r}")
     alice, bob1, rest = (_Z, _X), (_Z_PLUS_X, _Z_MINUS_X), [_X] * (n_parties - 2)
     return [[_Z] * n_parties] + [[alice[x], bob1[y1], *rest] for _, x, y1 in ROUND_CLASSES[1:]]
 
 
-def _questions(
-    state: GHZState, settings: list[list[Observable]]
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per test class 1..4: Born-rule outcome distribution, win mask and outcome parity."""
+def _questions(state: GHZState) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per test class 1..4 with the honest settings: outcome distribution, win mask and outcome parity."""
     n = state.n_qubits
     bits = outcome_bits(np.arange(2**n), n)
     a, b1, parity = bits[:, 0], bits[:, 1], bits[:, 2:].sum(axis=1) & 1
-    for (_, x, y1), observables in zip(ROUND_CLASSES[1:], settings[1:]):
+    for (_, x, y1), observables in zip(ROUND_CLASSES[1:], honest_settings(n)[1:]):
         dist = joint_distribution(state, observables)
         yield dist, parity_chsh_wins_bulk(x, y1, a, b1, parity), parity
 
 
-def quantum_win_probability(state: GHZState, settings: list[list[Observable]]) -> float:
-    """Winning probability under uniform (x, y), evaluated by the Born rule."""
+def quantum_win_probability(state: GHZState) -> float:
+    """Winning probability of the honest settings under uniform (x, y), evaluated by the Born rule."""
     total = 0.0
-    for dist, wins, _ in _questions(state, settings):
+    for dist, wins, _ in _questions(state):
         total += float(dist[wins].sum())
     return total / 4.0
 
 
-def conditioned_win_probabilities(
-    state: GHZState, settings: list[list[Observable]]
-) -> dict[int, tuple[float, float]]:
-    """Map each parity that occurs -> (its probability, conditional win probability).
+def conditioned_win_probabilities(state: GHZState) -> dict[int, tuple[float, float]]:
+    """Map each parity that occurs -> (its probability, conditional win probability), honest settings.
 
     The parity marginal is input-independent (no signalling), so the weights
     are averaged over the four question pairs; the convex combination of the
@@ -120,7 +117,7 @@ def conditioned_win_probabilities(
     """
     mass = {0: 0.0, 1: 0.0}
     win_mass = {0: 0.0, 1: 0.0}
-    for dist, wins, parity in _questions(state, settings):
+    for dist, wins, parity in _questions(state):
         for par in (0, 1):
             sel = parity == par
             mass[par] += float(dist[sel].sum()) / 4.0

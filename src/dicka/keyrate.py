@@ -62,8 +62,8 @@ _END_GAP = 4.5e-11
 
 
 def _check_parties(n_parties: int) -> None:
-    if n_parties < 2:
-        raise DomainError(f"need at least 2 parties, got {n_parties}")
+    if not isinstance(n_parties, numbers.Integral) or n_parties < 2:
+        raise DomainError(f"need at least 2 parties, as an integer, got {n_parties!r}")
 
 
 def _check_qber(qber: float) -> None:

@@ -42,6 +42,7 @@ points or rounds.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -86,9 +87,10 @@ class GHZState:
     p_dep: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 2 <= self.n_qubits <= MAX_QUBITS:
+        if not isinstance(self.n_qubits, numbers.Integral) or not 2 <= self.n_qubits <= MAX_QUBITS:
             raise SizeOutOfRangeError(
-                f"n_qubits must lie in [2, {MAX_QUBITS}] for exact simulation, got {self.n_qubits}"
+                f"n_qubits must lie in [2, {MAX_QUBITS}], as an integer, for exact simulation, "
+                f"got {self.n_qubits!r}"
             )
         _check_probability(self.p_dep)
 

@@ -25,7 +25,6 @@ from dicka import (
     completeness_bound,
     depolarize_each,
     finite_key_length,
-    honest_settings,
     min_tradeoff_fhat,
     min_tradeoff_slope,
     pexp_formula,
@@ -62,7 +61,7 @@ def test_criterion_02_quantum_value():
     for n in range(2, 7):
         start = time.perf_counter()
         state = depolarize_each(GHZState(n), 0.0)
-        value = quantum_win_probability(state, honest_settings(n))
+        value = quantum_win_probability(state)
         if n == 6:
             elapsed_n6 = time.perf_counter() - start
         worst = max(worst, abs(value - TSIRELSON_BOUND))
@@ -73,10 +72,9 @@ def test_criterion_02_quantum_value():
 def test_criterion_03_pexp_consistency():
     worst = 0.0
     for n in range(2, 7):
-        settings = honest_settings(n)
         for qber in (0.0, 0.01, 0.03, 0.05):
             state = depolarize_each(GHZState(n), qber_to_pdep(qber))
-            sim = quantum_win_probability(state, settings)
+            sim = quantum_win_probability(state)
             worst = max(worst, abs(sim - pexp_formula(n, qber)))
     ok = worst < 1e-9
     assert _report(3, ok, f"max |closed form - exact evaluation| = {worst:.2e}")
@@ -203,7 +201,7 @@ def test_criterion_07_end_to_end_batch():
     total_tests = sum(r.n_test_rounds for r in runs)
     total_wins = sum(r.n_wins for r in runs)
     state = depolarize_each(GHZState(3), qber_to_pdep(0.02))
-    p_true = quantum_win_probability(state, honest_settings(3))
+    p_true = quantum_win_probability(state)
     sigma_win = math.sqrt(p_true * (1 - p_true) / total_tests)
     win_ok = abs(total_wins / total_tests - p_true) < 5 * sigma_win
 

@@ -90,6 +90,18 @@ def test_simulate_malformed_line_is_tool_error(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "t.txt")]) == 1
 
 
+def test_config_key_no_command_reads_is_tool_error(tmp_path, capsys):
+    # a misspelled key_len used to be ignored, and the run went on with the computed length
+    cfg = _write(tmp_path, "typo.cfg", SIM_CONFIG.replace("key_len = 64", "kye_len = 128"))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "t.txt")]) == 1
+    assert "unknown config key 'kye_len'" in capsys.readouterr().err
+    assert not (tmp_path / "t.txt").exists()
+    # the keys of every command are allowed, so one file serves simulate and keylen
+    both = _write(tmp_path, "both.cfg", SIM_CONFIG)
+    assert main(["keylen", "--config", both, "--out", str(tmp_path / "kl.txt")]) == 0
+    assert main(["simulate", "--config", both, "--seed", "5", "--out", str(tmp_path / "t.txt")]) == 0
+
+
 KEYLEN_CONFIG = """
 n_parties = 3
 n_rounds = 10000000000
@@ -225,13 +237,16 @@ def test_rates_rejects_bad_grid_and_format(tmp_path):
 
 
 def test_rates_q_grid_stops_at_q_max(tmp_path):
-    for q_max, q_step, want in (("0.05", "0.03", [0.0, 0.03]), ("0.49", "0.3", [0.0, 0.3])):
+    # 0 + 3 * 0.1 is 0.30000000000000004, which the endpoint tolerance would keep
+    cases = (("0.05", "0.03", [0.0, 0.03]), ("0.49", "0.3", [0.0, 0.3]), ("0.3", "0.1", [0.0, 0.1, 0.2, 0.3]))
+    for q_max, q_step, want in cases:
         text = f"n_list = 3\nq_min = 0\nq_max = {q_max}\nq_step = {q_step}\n"
         cfg = _write(tmp_path, "grid.cfg", text)
         out = tmp_path / "grid.csv"
         assert main(["rates", "--config", cfg, "--out", str(out)]) == 0
         qs = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
         assert qs == pytest.approx(want, abs=1e-15)
+        assert max(qs) <= float(q_max)
 
 
 GAME_CONFIG = """
@@ -287,6 +302,22 @@ def test_game_enumeration_bound(tmp_path, capsys):
         cfg = _write(tmp_path, "game.cfg", GAME_CONFIG.replace("n_parties = 3", f"n_parties = {n_parties}"))
         assert main(["game", "--config", cfg]) == 1
         assert message in capsys.readouterr().err
+
+
+def test_each_command_takes_only_the_options_it_reads(tmp_path, capsys):
+    game = _write(tmp_path, "game.cfg", GAME_CONFIG)
+    rates = _write(tmp_path, "rates.cfg", RATES_CONFIG)
+    keylen = _write(tmp_path, "kl.cfg", KEYLEN_CONFIG)
+    simulate = _write(tmp_path, "run.cfg", SIM_CONFIG)
+    assert main(["game", "--config", game, "--seed", "1"]) == 1
+    assert main(["rates", "--config", rates, "--paper-variant", "appendix"]) == 1
+    assert main(["compare", "--config", rates, "--seed", "1"]) == 1
+    assert main(["keylen", "--config", keylen, "--seed", "1"]) == 1
+    assert main(["simulate", "--config", simulate]) == 1
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    for command in ("simulate", "keylen", "rates", "compare", "game"):
+        assert main([command, "--help"]) == 0
+    assert main(["--help"]) == 0
 
 
 def test_unknown_command_is_tool_error(tmp_path):

@@ -78,22 +78,32 @@ def test_classical_value_bounds():
             classical_value(n)
 
 
+def test_party_count_must_be_an_integer():
+    for entry_point in (GHZState, classical_value, honest_settings):
+        for bad in (3.5, 3.0):
+            with pytest.raises(SizeOutOfRangeError):
+                entry_point(bad)
+    assert GHZState(np.int64(3)).n_qubits == 3
+    assert classical_value(np.int64(3)) == Fraction(3, 4)
+    assert honest_settings(np.int64(3)) == honest_settings(3)
+
+
 def test_quantum_value_noiseless():
     for n in (2, 3, 4, 5, 6):
-        p = quantum_win_probability(_honest_state(n), honest_settings(n))
+        p = quantum_win_probability(_honest_state(n))
         assert abs(p - TSIRELSON) < 1e-9
 
 
 def test_quantum_value_fully_depolarized():
     for n in (2, 3, 4):
         state = depolarize_each(GHZState(n), 1.0)
-        p = quantum_win_probability(state, honest_settings(n))
+        p = quantum_win_probability(state)
         assert abs(p - 0.5) < 1e-9
 
 
 def test_quantum_value_matches_closed_form_at_qber():
     # honest-model closed form, frozen from the exact Born-rule evaluation
-    p = quantum_win_probability(_honest_state(3, 0.05), honest_settings(3))
+    p = quantum_win_probability(_honest_state(3, 0.05))
     assert abs(p - pexp_formula(3, 0.05)) < 1e-9
     assert abs(p - 0.8100336142482089) < 1e-9
 
@@ -124,7 +134,7 @@ def test_only_occurring_parities_are_returned():
     # N = 3 on both parities occur, even without noise
     for n in (2, 3, 6, 12):
         for qber in (0.0, 0.03):
-            conditioned = conditioned_win_probabilities(_honest_state(n, qber), honest_settings(n))
+            conditioned = conditioned_win_probabilities(_honest_state(n, qber))
             assert sorted(conditioned) == ([0] if n == 2 else [0, 1])
             assert all(weight > 0 for weight, _ in conditioned.values())
 
@@ -134,10 +144,9 @@ def test_parity_conditioning_reduces_to_chsh():
     for n in (3, 4, 5):
         for qber in (0.0, 0.03):
             state = _honest_state(n, qber)
-            settings = honest_settings(n)
-            conditioned = conditioned_win_probabilities(state, settings)
+            conditioned = conditioned_win_probabilities(state)
             for parity_value, flip in ((0, False), (1, True)):
-                mass, cond_win = _conditional_chsh_win(state, settings, parity_value, flip)
+                mass, cond_win = _conditional_chsh_win(state, honest_settings(n), parity_value, flip)
                 assert abs(mass - conditioned[parity_value][0]) < 1e-10
                 assert abs(cond_win - conditioned[parity_value][1]) < 1e-10
 
@@ -146,19 +155,17 @@ def test_convex_decomposition():
     for n in (3, 4, 5):
         for qber in (0.0, 0.02, 0.05):
             state = _honest_state(n, qber)
-            settings = honest_settings(n)
-            total = quantum_win_probability(state, settings)
-            parts = conditioned_win_probabilities(state, settings)
+            total = quantum_win_probability(state)
+            parts = conditioned_win_probabilities(state)
             recombined = sum(mass * cond for mass, cond in parts.values())
             assert abs(total - recombined) < 1e-10
 
 
 def test_monotone_degradation_in_noise():
     for n in (3, 4, 5, 6):
-        settings = honest_settings(n)
         previous = 1.0
         for p_dep in np.linspace(0.0, 1.0, 50):
             state = depolarize_each(GHZState(n), float(p_dep))
-            value = quantum_win_probability(state, settings)
+            value = quantum_win_probability(state)
             assert value <= previous + 1e-12
             previous = value

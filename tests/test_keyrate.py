@@ -25,7 +25,6 @@ from dicka import (
     completeness_bound,
     depolarize_each,
     finite_key_length,
-    honest_settings,
     leak_ec_bounds,
     min_tradeoff_fhat,
     min_tradeoff_slope,
@@ -427,10 +426,9 @@ def test_pexp_limits():
 
 def test_pexp_matches_exact_simulation():
     for n in (2, 3, 4, 5, 6):
-        settings = honest_settings(n)
         for qber in (0.0, 0.01, 0.03, 0.05):
             state = depolarize_each(GHZState(n), qber_to_pdep(qber))
-            sim = quantum_win_probability(state, settings)
+            sim = quantum_win_probability(state)
             assert abs(sim - pexp_formula(n, qber)) < 1e-9
 
 
@@ -507,6 +505,29 @@ def test_n_rounds_must_be_an_integer():
     with pytest.raises(DomainError):
         ProtocolConfig(n_parties=3, n_rounds=10.5, mu=0.1, delta=0.78, qber=0.0, eps=_budget(), rng_seed=1)
     assert _params(n_rounds=np.int64(1000)).n_rounds == 1000
+
+
+def test_n_parties_must_be_an_integer():
+    # a float party count used to pass: 3.5 charged leak_bobs for 2.5 Bobs
+    def config(n):
+        return ProtocolConfig(n_parties=n, n_rounds=1000, mu=0.1, delta=0.78, qber=0.0, eps=_budget(), rng_seed=1)
+
+    entry_points = (
+        lambda n: _params(n_parties=n),
+        config,
+        lambda n: pexp_formula(n, 0.01),
+        lambda n: asymptotic_rate_cka(n, 0.01),
+        lambda n: asymptotic_rate_diqkd(n, 0.01),
+    )
+    for entry_point in entry_points:
+        for bad in (3.5, 3.0):
+            with pytest.raises(DomainError):
+                entry_point(bad)
+    assert _params(n_parties=np.int64(3)).n_parties == 3
+    assert config(np.int64(3)).n_parties == 3
+    assert pexp_formula(np.int64(3), 0.01) == pexp_formula(3, 0.01)
+    assert asymptotic_rate_cka(np.int64(3), 0.01) == asymptotic_rate_cka(3, 0.01)
+    assert asymptotic_rate_diqkd(np.int64(3), 0.01) == asymptotic_rate_diqkd(3, 0.01)
 
 
 # one call per entry point that checks the parameter; all share one check each

@@ -312,9 +312,8 @@ def test_round_distributions_are_the_game_tables():
     for n in range(3, 7):
         for qber in (0.0, 0.013):
             state = depolarize_each(GHZState(n), qber_to_pdep(qber))
-            settings = honest_settings(n)
-            dists = [joint_distribution(state, settings[0])]
-            dists += [dist for dist, _, _ in _questions(state, settings)]
+            dists = [joint_distribution(state, honest_settings(n)[0])]
+            dists += [dist for dist, _, _ in _questions(state)]
             tables = _round_distributions(n, qber)
             assert list(tables) == [0, 1, 2, 3, 4]
             for cid, dist in enumerate(dists):
