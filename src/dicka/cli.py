@@ -24,7 +24,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -44,6 +43,8 @@ from .quantum import GHZState, depolarize_each
 EXIT_OK = 0
 EXIT_TOOL_ERROR = 1
 EXIT_ABORT = 2
+
+MAX_Q_POINTS = 10**6  # Q values per `rates` grid
 
 _CONFIG_ERRORS = (DomainError, InvalidInputError, LengthMismatchError, SizeOutOfRangeError)
 
@@ -150,12 +151,17 @@ def _q_grid(cfg: dict) -> list[float]:
     q_min = _get(cfg, "q_min")
     q_max = _get(cfg, "q_max")
     q_step = _get(cfg, "q_step")
-    if q_step <= 0 or q_max < q_min or q_min < 0 or q_max >= 0.5:
+    if not (q_step > 0 and 0 <= q_min <= q_max < 0.5):  # written so that a NaN fails too
         raise ConfigError("bad Q grid: need 0 <= q_min <= q_max < 0.5 and q_step > 0")
     # the tolerance keeps an endpoint that lies on the grid up to rounding,
     # and the clamp keeps such an endpoint from passing q_max
-    count = math.floor((q_max - q_min) / q_step + 1e-9) + 1
-    return [min(q_min + i * q_step, q_max) for i in range(count)]
+    steps = (q_max - q_min) / q_step + 1e-9
+    if not steps < MAX_Q_POINTS:  # checked before the list is built; steps may be inf
+        raise ConfigError(
+            f"Q grid from {_fmt(q_min)} to {_fmt(q_max)} in steps of {_fmt(q_step)} "
+            f"has more than {MAX_Q_POINTS} points"
+        )
+    return [min(q_min + i * q_step, q_max) for i in range(math.floor(steps) + 1)]
 
 
 def cmd_rates(args: argparse.Namespace) -> int:
@@ -183,7 +189,7 @@ def cmd_game(args: argparse.Namespace) -> int:
     lines = [
         f"n_parties = {n_parties}",
         f"qber = {_fmt(qber)}",
-        f"classical_value = {Fraction(classical)}",
+        f"classical_value = {classical}",
         f"quantum_win_probability = {_fmt(quantum_win_probability(state))}",
     ]
     # given the parity of Bob_2..Bob_{N-1}'s outputs the game is CHSH (parity

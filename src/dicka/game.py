@@ -19,9 +19,8 @@ parity of the other Bobs' outputs.
 from __future__ import annotations
 
 import numbers
-from fractions import Fraction
 from itertools import product
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -34,6 +33,9 @@ from .quantum import (
     joint_distribution,
     outcome_bits,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def parity_chsh_wins_bulk(x, y, a, b1, rest_parity) -> np.ndarray:
@@ -54,6 +56,9 @@ def classical_value(n_parties: int) -> Fraction:
     from N = 3 on.  So Alice's and Bob_1's answer tables and c, against the
     four uniform (x, y) questions, cover every strategy.
     """
+    # imported here, so that only `dicka game` pays for fractions and decimal
+    from fractions import Fraction
+
     if not isinstance(n_parties, numbers.Integral) or n_parties < 2:
         raise SizeOutOfRangeError(f"the game needs at least two parties, as an integer, got {n_parties!r}")
     # columns: a(0), a(1), b1(0), b1(1), c, then x, y

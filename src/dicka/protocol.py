@@ -59,6 +59,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import BinaryIO, Iterator, Optional
@@ -102,12 +103,14 @@ class ProtocolConfig(RateParams):
                 f"n_parties must be at most {MAX_QUBITS} for exact simulation, got {self.n_parties}"
             )
         super().__post_init__()  # checks n_rounds, mu, delta, qber and variant
-        if not 0 <= self.rng_seed < 2**64:
-            raise DomainError("rng_seed must be an unsigned 64-bit integer")
+        if not isinstance(self.rng_seed, numbers.Integral) or not 0 <= self.rng_seed < 2**64:
+            raise DomainError(f"rng_seed must be an unsigned 64-bit integer, got {self.rng_seed!r}")
         # checked here, not only in amplify, which an aborted run never reaches
-        if self.key_len is not None and not 0 <= self.key_len <= self.n_rounds:
+        if self.key_len is not None and (
+            not isinstance(self.key_len, numbers.Integral) or not 0 <= self.key_len <= self.n_rounds
+        ):
             raise DomainError(
-                f"key_len override must lie in [0, n_rounds = {self.n_rounds}], got {self.key_len}"
+                f"key_len override must be an integer in [0, n_rounds = {self.n_rounds}], got {self.key_len!r}"
             )
 
 
@@ -206,12 +209,12 @@ class Transcript:
             "key_length": 0 if self.keys is None else int(len(self.keys[0])),
             "keys": None if self.keys is None else [bits_to_hex(k) for k in self.keys],
             "keys_identical": self.keys_identical,
-            "n_parties": self.n_parties,
-            "n_rounds": self.n_rounds,
+            "n_parties": int(self.n_parties),
+            "n_rounds": int(self.n_rounds),
             "n_test_rounds": self.n_test_rounds,
             "n_wins": self.n_wins,
             "pe_vacuous": self.pe_vacuous,
-            "seed": self.rng_seed,
+            "seed": int(self.rng_seed),
             "win_rate": self.win_rate,
         }
 

@@ -1,9 +1,13 @@
 """CLI tests: exit codes, config handling, CSV/kv output contracts."""
 
+import json
 import math
+import subprocess
+import sys
 
 import pytest
 
+from dicka import cli
 from dicka.cli import main
 
 EPS_LINES = """
@@ -65,12 +69,38 @@ def test_simulate_seed_override_changes_transcript(tmp_path):
     assert out1.read_bytes() != out2.read_bytes()
 
 
+# threshold above the quantum maximum of the honest implementation
+ABORT_CONFIG = (
+    SIM_CONFIG.replace("delta = 0.78", "delta = 0.851").replace("qber = 0.0", "qber = 0.05")
+    .replace("n_rounds = 2000", "n_rounds = 10000").replace("seed = 77", "seed = 2000")
+)
+
+
 def test_simulate_abort_exit_code(tmp_path):
-    # threshold above the quantum maximum of the honest implementation
-    text = SIM_CONFIG.replace("delta = 0.78", "delta = 0.851").replace("qber = 0.0", "qber = 0.05")
-    text = text.replace("n_rounds = 2000", "n_rounds = 10000").replace("seed = 77", "seed = 2000")
-    cfg = _write(tmp_path, "abort.cfg", text)
+    cfg = _write(tmp_path, "abort.cfg", ABORT_CONFIG)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "t.txt")]) == 2
+
+
+def test_simulate_process_aborts_with_exit_2_and_its_whole_summary(tmp_path):
+    # the process path: `python -m dicka` passes main's code on at exit and
+    # flushes stdout
+    cfg = _write(tmp_path, "abort.cfg", ABORT_CONFIG)
+    out = tmp_path / "t.txt"
+    argv = [sys.executable, "-m", "dicka", "simulate", "--config", cfg, "--out", str(out)]
+    result = subprocess.run(argv, capture_output=True, text=True)
+    assert result.returncode == 2, result.stderr
+    summary_line = out.read_text().splitlines()[-1]
+    assert summary_line.startswith("SUMMARY ")
+    assert result.stdout == summary_line[len("SUMMARY "):] + "\n"
+    assert json.loads(result.stdout)["abort"] is not None
+
+
+def test_importing_the_cli_leaves_out_fractions_and_decimal():
+    # only `dicka game` needs a Fraction, and it imports fractions itself
+    code = "import dicka.cli, sys; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_simulate_rejects_super_quantum_threshold(tmp_path):
@@ -234,6 +264,23 @@ def test_rates_rejects_bad_grid_and_format(tmp_path):
     assert main(["rates", "--config", cfg]) == 1
     good = _write(tmp_path, "ok.cfg", RATES_CONFIG)
     assert main(["rates", "--config", good, "--format", "kv-json"]) == 1
+
+
+def test_rates_rejects_an_oversized_grid_before_building_it(tmp_path, capsys, monkeypatch):
+    # 4e11 points; the guard on range turns a build of the grid into a
+    # failure of this test instead of an allocation of terabytes
+    def guarded_range(*args):
+        assert max(args) <= cli.MAX_Q_POINTS, "the grid was built"
+        return range(*args)
+
+    monkeypatch.setattr(cli, "range", guarded_range, raising=False)
+    cfg = _write(tmp_path, "grid.cfg", "n_list = 3\nq_min = 0\nq_max = 0.4\nq_step = 1e-12\n")
+    out = tmp_path / "grid.csv"
+    assert main(["rates", "--config", cfg, "--out", str(out)]) == 1
+    assert main(["rates", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.count("error: Q grid from 0 to 0.40000000000000002 in steps of 9.9999999999999998e-13") == 2
 
 
 def test_rates_q_grid_stops_at_q_max(tmp_path):

@@ -123,6 +123,18 @@ def test_key_len_above_round_count_rejected_at_construction(delta):
         _config(n_rounds=100, mu=0.5, qber=0.02, delta=delta, rng_seed=1, key_len=200)
 
 
+@pytest.mark.parametrize(("field", "value"), [("key_len", 3.5), ("rng_seed", 1.5), ("key_len", 3.0)])
+def test_non_integer_seed_or_key_len_rejected_at_construction(field, value):
+    with pytest.raises(DomainError):
+        _config(**{field: value})
+
+
+def test_numpy_integer_seed_and_key_len_accepted():
+    want = run_protocol(_config(n_rounds=2000, rng_seed=7, key_len=64)).serialize()
+    config = _config(n_rounds=np.int64(2000), rng_seed=np.int64(7), key_len=np.int64(64))
+    assert run_protocol(config).serialize() == want
+
+
 def test_party_count_above_qubit_cap_rejected_at_construction():
     # only constructed, never run: a run would draw its n-length round
     # inputs before the outcome tables refuse the size
