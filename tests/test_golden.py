@@ -74,6 +74,17 @@ CASES = {
         run_protocol, None, 4000,
         "34eb3bab74a419f3863c0a7c621c531b2936726980e75cbf937f748666807525",
     ),
+    # two-byte outcome indices: N = 9 (the simulate-wide shape) and the largest N
+    "n9_key64": (
+        _config(n_parties=9, n_rounds=3000, mu=0.2, qber=0.01, rng_seed=9, key_len=64),
+        run_protocol, None, 64,
+        "e48f4a70e9aacdd401e2bc3d59203fa525d209c692c278e68b118e774771c055",
+    ),
+    "n12_key96": (
+        _config(n_parties=12, n_rounds=4000, mu=0.2, qber=0.01, rng_seed=12, key_len=96),
+        run_protocol, None, 96,
+        "25943d6513b27e22070b6883cac3a6c019848ee4ad4b7d57fbe31dbb6ebaf624",
+    ),
     # several sampling, serialization and hashing chunks, the last one partial
     "n3_key128_100007": (
         _config(n_rounds=100007, mu=0.05, rng_seed=17, key_len=128),

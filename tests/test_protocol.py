@@ -523,7 +523,7 @@ def _serialization_case(kind, n_parties, n_rounds):
 
 
 @pytest.mark.parametrize("kind", ["success", "pe_abort", "ec_abort", "measure_only"])
-@pytest.mark.parametrize("n_parties", range(3, 9))
+@pytest.mark.parametrize("n_parties", [*range(3, 10), 12])
 def test_round_lines_match_oracle(kind, n_parties):
     # every decimal-width boundary of the round index up to five digits
     for n_rounds in (0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 10001):
