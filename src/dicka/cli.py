@@ -21,6 +21,8 @@ round-trip exactly.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import gc
 import json
 import math
 import sys
@@ -48,7 +50,7 @@ MAX_Q_POINTS = 10**6  # Q values per `rates` grid
 
 _CONFIG_ERRORS = (DomainError, InvalidInputError, LengthMismatchError, SizeOutOfRangeError)
 
-_EPS_NAMES = ("smooth", "pa", "ea", "ec", "ec_prime", "ec_tilde")
+_EPS_NAMES = [field.name for field in dataclasses.fields(EpsilonBudget)]
 
 
 def _int_list(raw: str) -> list[int]:
@@ -237,5 +239,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_TOOL_ERROR
 
 
+def run() -> None:
+    """Run ``main`` as the whole process and exit with its code: every entry point calls this."""
+    code = main()
+    # CPython's shutdown runs full collections over every object numpy and dicka
+    # left tracked (README "simulate" has the cost) and skips frozen ones; atexit
+    # handlers and the stream flushes still run.  Not in main, which callers run in process.
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import DomainError
 
@@ -105,8 +105,8 @@ class EpsilonBudget:
     ec_tilde: float
 
     def __post_init__(self) -> None:
-        for name in ("smooth", "pa", "ea", "ec", "ec_prime", "ec_tilde"):
-            _check_eps(f"eps_{name}", getattr(self, name))
+        for field in fields(self):
+            _check_eps(f"eps_{field.name}", getattr(self, field.name))
         if abs(self.ec - (self.ec_prime + self.ec_tilde)) > 1e-12 * self.ec:
             raise DomainError(
                 f"eps_ec must equal eps_ec_tilde + eps_ec_prime "
@@ -157,7 +157,6 @@ class KeyLengthBreakdown:
     leak_alice: float
     leak_bobs: float
     p_opt_chosen: float
-    key_length: int
 
     @property
     def raw_length(self) -> float:
@@ -169,6 +168,10 @@ class KeyLengthBreakdown:
             - self.leak_alice
             - self.leak_bobs
         )
+
+    @property
+    def key_length(self) -> int:
+        return max(0, math.floor(self.raw_length))
 
 
 def binary_entropy(x: float) -> float:
@@ -322,8 +325,6 @@ def finite_key_length(params: RateParams) -> KeyLengthBreakdown:
     pa_term = pa_factor * math.log2(1.0 / eps.pa)
     leak_alice, leak_bob = leak_ec_bounds(params)
     leak_bobs = (params.n_parties - 1) * leak_bob
-
-    raw = entropy_term - second_order + smoothing_term - pa_term - leak_alice - leak_bobs
     return KeyLengthBreakdown(
         entropy_term=entropy_term,
         second_order=second_order,
@@ -332,7 +333,6 @@ def finite_key_length(params: RateParams) -> KeyLengthBreakdown:
         leak_alice=leak_alice,
         leak_bobs=leak_bobs,
         p_opt_chosen=p_opt,
-        key_length=max(0, math.floor(raw)),
     )
 
 

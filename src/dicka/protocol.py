@@ -71,7 +71,7 @@ from .game import ROUND_CLASSES, honest_settings, parity_chsh_wins_bulk
 from .hashing import PackedBits, ToeplitzSeed, bits_to_hex, pack_bits, pack_chunks, random_seed, toeplitz_hash
 from .hashing import verify_hash, write_hex_line
 from .keyrate import RateParams, finite_key_length, qber_to_pdep
-from .quantum import MAX_QUBITS, GHZState, depolarize_each, joint_distribution, outcome_bits
+from .quantum import MAX_QUBITS, GHZState, depolarize_each, joint_distribution, outcome_bits, party_bits
 
 ABORT_EC = "ec_failure"
 ABORT_PE = "parameter_estimation"
@@ -173,12 +173,6 @@ class Transcript:
         if self.wins is not None:
             c[np.flatnonzero(self.round_class)] = self.wins
         return c
-
-    def party_bits(self, party: int, rows) -> np.ndarray:
-        """uint8 outcome bits of one party (0 is Alice) on the given rounds (a slice or round numbers)."""
-        bits = self.outcome_index[rows] >> (self.n_parties - 1 - party)
-        bits &= 1
-        return bits.astype(np.uint8, copy=False)
 
     @property
     def n_test_rounds(self) -> int:
@@ -406,8 +400,8 @@ def reconcile(
     disclosures = [np.empty(transcript.n_test_rounds, dtype=np.uint8) for _ in range(1, n_par)]
     for _, tests, scored in _test_chunks(transcript.round_class):
         for k, disc in enumerate(disclosures, start=1):
-            disc[scored] = transcript.party_bits(k, tests)
-    alice = pack_chunks(n, (transcript.party_bits(0, s) for s in _chunks(n)))
+            disc[scored] = party_bits(transcript.outcome_index[tests], n_par, k)
+    alice = pack_chunks(n, (party_bits(transcript.outcome_index[s], n_par, 0) for s in _chunks(n)))
     # every oracle-corrected Bob holds Alice's string: share it, read-only
     bobs = [alice] * (n_par - 1) if bob_keys is None else [pack_bits(bits) for bits in bob_keys]
     transcript.disclosures = disclosures
@@ -442,7 +436,7 @@ def estimate_parameters(config: ProtocolConfig, transcript: Transcript) -> Trans
     wins = np.empty(n_tests, dtype=np.uint8)
     for _, tests, scored in _test_chunks(transcript.round_class):
         _, x, y1 = ROUND_CLASSES[transcript.round_class[tests]].T
-        a = transcript.party_bits(0, tests)
+        a = party_bits(transcript.outcome_index[tests], transcript.n_parties, 0)
         rest_parity = np.bitwise_xor.reduce([bits[scored] for bits in rest])
         wins[scored] = parity_chsh_wins_bulk(x, y1, a, b1[scored], rest_parity)
     transcript.wins = wins

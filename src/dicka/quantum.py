@@ -32,8 +32,8 @@ Conventions
   to the -1 eigenvalue.
 * A probability table over outcome strings is a flat array of length 2**N,
   indexed by the integer whose binary expansion is the outcome string with
-  party 0 in the most significant position; ``outcome_bits`` is the one
-  decoder of such indices back to per-party bits.
+  party 0 in the most significant position; ``outcome_bits`` (every party)
+  and ``party_bits`` (one party) are the only decoders of such indices.
 
 Everything here is a pure function of its inputs; there is no shared
 mutable state, so evaluation is safe to parallelise across parameter
@@ -135,10 +135,14 @@ def joint_distribution(state: GHZState, settings: Sequence[Observable]) -> np.nd
 def outcome_bits(idx: np.ndarray, n_qubits: int) -> np.ndarray:
     """uint8 outcome bits of integer outcome indices: one row per index, party 0 first.
 
-    The shifts run in the narrowest unsigned type that holds an index below
-    2**n_qubits, so the (len(idx), n_qubits) temporaries take one or two
-    bytes per entry rather than eight.
+    The shifts run in the indices' own dtype: one or two bytes per entry for the round store.
     """
-    dtype = np.min_scalar_type(2**n_qubits - 1)
-    shifts = np.arange(n_qubits - 1, -1, -1, dtype=dtype)
-    return ((idx.astype(dtype)[:, None] >> shifts) & 1).astype(np.uint8, copy=False)
+    shifts = np.arange(n_qubits - 1, -1, -1, dtype=idx.dtype)
+    return ((idx[:, None] >> shifts) & 1).astype(np.uint8, copy=False)
+
+
+def party_bits(idx: np.ndarray, n_qubits: int, party: int) -> np.ndarray:
+    """uint8 outcome bits of one party (0 first) of integer outcome indices."""
+    bits = idx >> (n_qubits - 1 - party)
+    bits &= 1
+    return bits.astype(np.uint8, copy=False)
