@@ -13,9 +13,9 @@ game       print the classical and quantum game values and the quantum value
 ``simulate`` and ``keylen`` take ``--paper-variant``; the other commands
 print to ``--out`` or standard output.  Exit codes: 0 success, 1 tool error
 (bad config or arguments, I/O), 2 protocol abort.  Configs are flat
-``key = value`` text; ``#`` starts a comment, and a key no command reads is
-an error.  Floats are printed with 17 significant digits so emitted values
-round-trip exactly.
+``key = value`` text; ``#`` starts a comment, and a key no command reads or
+a repeated key is an error.  Floats are printed with 17 significant digits
+so emitted values round-trip exactly.
 """
 
 from __future__ import annotations
@@ -73,12 +73,12 @@ def _fmt(value: float) -> str:
 
 
 def parse_config(path: str) -> dict:
-    """Each key's value, converted to the key's type; an unknown key or a bad value is a ConfigError."""
+    """Each key's value, converted to the key's type; an unknown, repeated or bad entry is a ConfigError."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    entries = {}
+    entries, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -88,6 +88,9 @@ def parse_config(path: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _KEY_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
         try:
             entries[key] = _KEY_TYPES[key](value)
         except ValueError as exc:

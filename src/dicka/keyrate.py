@@ -4,9 +4,12 @@ Contains every analytic ingredient of the security accounting: binary
 entropy, the convex min-tradeoff bound on certified one-round entropy as a
 function of the winning probability, its affine tangent, the entropy
 accumulation second-order coefficient, error-correction leakage bounds, the
-finite-size key length with its tangent point, the completeness
+finite-size key length with its tangent point (the key length is derived
+from the one signed sum ``KeyLengthBreakdown.raw_length``), the completeness
 (honest-abort) bound, and the asymptotic rates of the conference-key
-protocol and of the (N-1)-pairwise-QKD baseline.
+protocol and of the (N-1)-pairwise-QKD baseline.  The conference-key rate
+takes its own winning probability beta, which is below the simulator's
+p_exp for N >= 3 and Q > 0 (``asymptotic_rate_cka``).
 
 All logarithms are base 2 except the exponential inside the Hoeffding-style
 completeness bound, which is natural.
@@ -377,9 +380,13 @@ def pexp_formula(n_parties: int, qber: float) -> float:
 def asymptotic_rate_cka(n_parties: int, qber: float) -> float:
     """Asymptotic conference-key rate of the protocol at QBER Q.
 
-    May be negative (reported as-is; only key lengths clamp at zero).  When
-    the certified violation falls to the classical value or below, the
-    entropy term clamps and the rate is -h(Q).
+    1 - h(1/2 + 1/2 sqrt(16 (beta - 1/2)^2 - 1)) - h(Q), with
+    beta = 1/2 + (3 F^N + F^2) / (8 sqrt 2) and F = sqrt(1 - 2 Q).  For
+    N >= 3 and Q > 0 this beta lies below the simulator's p_exp
+    (``pexp_formula``), by (F^2 - F^N) / (8 sqrt 2).  May be negative
+    (reported as-is; only key lengths clamp at zero).  When the certified
+    violation falls to the classical value or below, the entropy term
+    clamps and the rate is -h(Q).
     """
     _check_parties(n_parties)
     _check_qber(qber)

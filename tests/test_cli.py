@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -130,6 +131,51 @@ def test_config_key_no_command_reads_is_tool_error(tmp_path, capsys):
     both = _write(tmp_path, "both.cfg", SIM_CONFIG)
     assert main(["keylen", "--config", both, "--out", str(tmp_path / "kl.txt")]) == 0
     assert main(["simulate", "--config", both, "--seed", "5", "--out", str(tmp_path / "t.txt")]) == 0
+
+
+def test_repeated_config_key_is_config_error(tmp_path, capsys):
+    # the last value used to win silently
+    text = SIM_CONFIG + "# a second seed\nseed = 78\n"
+    lines = text.splitlines()
+    first, again = lines.index("seed = 77") + 1, len(lines)
+    cfg = _write(tmp_path, "twice.cfg", text)
+    with pytest.raises(cli.ConfigError, match=rf"twice.cfg:{again}: config key 'seed' repeats line {first}$"):
+        cli.parse_config(cfg)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "t.txt")]) == 1
+    assert f"config key 'seed' repeats line {first}" in capsys.readouterr().err
+    assert not (tmp_path / "t.txt").exists()
+
+
+def _entry_point(entry):
+    """Code that starts dicka as the console script does, or as `python -m dicka` or `-m dicka.cli`."""
+    if entry == "console_script":  # the wrapper calls the [project.scripts] target and exits with its value
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = tomllib.loads((Path(__file__).resolve().parent.parent / "pyproject.toml").read_text())
+        module, function = pyproject["project"]["scripts"]["dicka"].split(":")
+        return f"from {module} import {function}\nsys.exit({function}())"
+    return f"import runpy\nrunpy.run_module({entry!r}, run_name='__main__', alter_sys=True)"
+
+
+@pytest.mark.parametrize("entry", ["console_script", "dicka", "dicka.cli"])
+def test_every_entry_point_freezes_at_exit_and_passes_the_code_on(entry, tmp_path):
+    # each runs as the whole process, so its shutdown collections skip what is frozen
+    start = _entry_point(entry)
+    commands = {
+        0: ["game", "--config", _write(tmp_path, "game.cfg", "n_parties = 3\nqber = 0.01\n"),
+            "--out", str(tmp_path / "game.txt")],
+        1: ["game"],
+        2: ["simulate", "--config", _write(tmp_path, "abort.cfg", ABORT_CONFIG), "--out", str(tmp_path / "t.txt")],
+    }
+    for code, argv in commands.items():
+        program = (
+            "import atexit, gc, sys\n"
+            "atexit.register(lambda: print('freeze_count', gc.get_freeze_count()))\n"
+            f"sys.argv[1:] = {argv!r}\n" + start
+        )
+        result = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True)
+        assert result.returncode == code, result.stderr
+        name, count = result.stdout.splitlines()[-1].split()
+        assert name == "freeze_count" and int(count) > 0
 
 
 KEYLEN_CONFIG = """

@@ -480,6 +480,21 @@ def test_rate_clamps_below_classical_violation():
     assert abs(asymptotic_rate_cka(3, q) - (-binary_entropy(q))) < 1e-12
 
 
+def test_asymptotic_rate_uses_its_own_beta_not_p_exp():
+    # beta = 1/2 + (3 F^N + F^2) / (8 sqrt 2), F = sqrt(1 - 2Q): below the Born-rule
+    # p_exp = 1/2 + (F^N + F^2) / (4 sqrt 2) by (F^2 - F^N) / (8 sqrt 2)
+    for n in range(2, 9):
+        for q in (0.0, 1e-4, 0.001, 0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.45):
+            f = math.sqrt(1.0 - 2.0 * q)
+            beta = 0.5 + (3.0 * f**n + f**2) / (8.0 * math.sqrt(2.0))
+            arg = 16.0 * (beta - 0.5) ** 2 - 1.0
+            certified = 1.0 if arg <= 0 else binary_entropy(0.5 + 0.5 * math.sqrt(arg))
+            assert abs(asymptotic_rate_cka(n, q) - (1.0 - certified - binary_entropy(q))) < 1e-12
+            gap = pexp_formula(n, q) - beta
+            assert gap > -1e-15
+            assert (abs(gap) < 1e-15) == (n == 2 or q == 0.0)
+
+
 def test_budget_validation():
     with pytest.raises(DomainError):
         EpsilonBudget(smooth=1e-8, pa=1e-8, ea=1e-8, ec=1e-8, ec_prime=1e-8, ec_tilde=1e-8)
