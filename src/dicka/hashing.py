@@ -40,6 +40,7 @@ of unpacked bits and 8 * out_len bytes of int64 sums, whatever in_len is.
 
 from __future__ import annotations
 
+from binascii import hexlify
 from typing import BinaryIO, Iterable, Sequence, Union
 
 import numpy as np
@@ -61,7 +62,7 @@ _BLOCK = 2**15
 _SEED_CHUNK = 2**16
 
 # Packed bytes per write of a hex line: its temporaries take at most about
-# 13 bytes per packed byte (unpacked bits, packed bytes, two copies of the hex).
+# 11 bytes per packed byte (a uint8 cast of 0/1 bits, packed bytes, the hex).
 _HEX_SLICE = 2**13
 
 
@@ -148,12 +149,14 @@ def bits_to_hex(bits: Union[BitsLike, PackedBits]) -> str:
 def write_hex_line(sink: BinaryIO, head: str, bits: Union[np.ndarray, PackedBits]) -> None:
     """Write ``head``, ``bits_to_hex(bits)`` and LF to the binary file ``sink``.
 
-    The hex goes out ``_HEX_SLICE`` packed bytes at a time, each slice read
-    from ``bits`` and packed on its own, so no more than one slice is held.
+    The hex goes out ``_HEX_SLICE`` packed bytes at a time, taken from a
+    :class:`PackedBits` or packed from 0/1 bits: no more than one slice is held.
     """
     sink.write(head.encode("ascii"))
+    packed = isinstance(bits, PackedBits)
     for lo in range(0, len(bits), 8 * _HEX_SLICE):
-        sink.write(bits_to_hex(bits[lo:lo + 8 * _HEX_SLICE]).encode("ascii"))
+        data = bits.data[lo // 8:lo // 8 + _HEX_SLICE] if packed else pack_bits(bits[lo:lo + 8 * _HEX_SLICE]).data
+        sink.write(hexlify(data))
     sink.write(b"\n")
 
 

@@ -4,13 +4,12 @@ Per round, a noisy GHZ state is prepared and measured with the honest
 settings: on test rounds (probability mu) Alice and Bob_1 draw uniform
 inputs while the remaining Bobs use input 1; on key rounds everyone
 measures Z.  A round's outcome is drawn by inverse CDF from its class's
-Born-rule table.  The five tables are built once per (N, qber) from the
-closed-form depolarized GHZ state ``quantum.GHZState``: O(2**N) per table,
-no density matrix (derivation in :mod:`dicka.quantum`).  Classical
+Born-rule table, built once per (N, qber) from the closed-form depolarized
+GHZ state ``quantum.GHZState`` (O(2**N), no density matrix).  Classical
 post-processing then runs reconciliation, parameter estimation against the
-abort threshold, and privacy amplification.  All randomness flows from
-named substreams of a single 64-bit seed, so a configuration determines its
-transcript byte for byte.
+abort threshold, and privacy amplification.  All randomness comes from named
+substreams of one 64-bit seed (the outcomes from raw PCG64 words, a stream
+numpy keeps stable), so a configuration fixes its transcript byte for byte.
 
 Reconciliation is ideal-with-verification: each Bob's string is corrected
 to Alice's by an oracle channel and checked against a Toeplitz tag of
@@ -297,10 +296,21 @@ class _Streams:
 
 
 @lru_cache(maxsize=16)
-def _round_distributions(n_parties: int, qber: float) -> dict[int, np.ndarray]:
-    """Cumulative outcome distributions of the honest settings, keyed by round class (game.ROUND_CLASSES)."""
+def _outcome_keys(n_parties: int, qber: float) -> np.ndarray:
+    """Every round class's Born table in one sorted uint64 search table.
+
+    Class c (``game.ROUND_CLASSES``), with cumulative outcome distribution
+    cum, gives the keys (c << 53) + ceil(min(cum[j], 1) * 2**53), j < 2**N - 1.
+    A draw k * 2**-53 of class c has the outcome index p - c * (2**N - 1), p
+    the count of keys <= (c << 53) | k, exactly as by inverse CDF: scaling by
+    2**53 is exact, so k * 2**-53 >= cum iff k >= ceil(cum * 2**53); dropping
+    the last entries caps the index at 2**N - 1; no draw below 1 passes a
+    capped entry; and the cap keeps the table sorted: class c's keys <= (c + 1) << 53.
+    """
     state = depolarize_each(GHZState(n_parties), qber_to_pdep(qber))
-    return {cid: np.cumsum(joint_distribution(state, obs)) for cid, obs in enumerate(honest_settings(n_parties))}
+    cums = [np.cumsum(joint_distribution(state, obs))[:-1] for obs in honest_settings(n_parties)]
+    return np.concatenate([np.ceil(np.minimum(cum, 1.0) * 2.0**53).astype(np.uint64) + np.uint64(c << 53)
+                           for c, cum in enumerate(cums)])
 
 
 def _chunks(n: int, size: int = _CHUNK) -> Iterator[slice]:
@@ -331,14 +341,14 @@ def _measure_rounds(config: ProtocolConfig, streams: _Streams) -> Transcript:
     """Protocol steps 1-2: state preparation, input choice, measurement.
 
     The transcript's class and outcome-index arrays are allocated once and
-    filled ``_CHUNK`` rounds at a time, so the float64 draws and the
-    per-class masks and indices of sampling exist for one chunk only.  Each
-    stream is drawn in the order a one-shot draw would use (all of ``x``
-    before all of ``y1`` from ``inputs``), and ``Generator.random`` and
-    int64 ``integers(0, 2)`` give the same values in chunks as in one call,
-    so the rounds do not depend on ``_CHUNK``.  The raw ``x`` and ``y1``
-    draws wait in the class and index arrays until their chunk is sampled;
-    then the chunk's class is built in place from them, in uint8.
+    filled ``_CHUNK`` rounds at a time, so sampling's draws and search keys
+    exist for one chunk only.  Each stream is drawn in the order a one-shot
+    draw would use (all of ``x`` before all of ``y1`` from ``inputs``), and
+    ``Generator.random``, int64 ``integers(0, 2)`` and ``random_raw`` give
+    the same values in chunks as in one call, so the rounds do not depend on
+    ``_CHUNK``.  The raw ``x`` and ``y1`` draws wait in the class and index
+    arrays until their chunk is sampled; then the chunk's class is built in
+    place from them, in uint8.  Its outcomes are one :func:`_outcome_keys` search.
     """
     n, n_par = config.n_rounds, config.n_parties
     round_class = np.empty(n, dtype=np.uint8)
@@ -347,7 +357,7 @@ def _measure_rounds(config: ProtocolConfig, streams: _Streams) -> Transcript:
         for s in _chunks(n):
             raw[s] = streams.inputs.integers(0, 2, size=s.stop - s.start)
 
-    tables = _round_distributions(n_par, config.qber)
+    keys = _outcome_keys(n_par, config.qber)
     for s in _chunks(n):
         test = streams.tests.random(s.stop - s.start) < config.mu
         cls = round_class[s]  # a view holding the raw x: the class 1 + 2x + y1 or 0 is built in place
@@ -355,12 +365,13 @@ def _measure_rounds(config: ProtocolConfig, streams: _Streams) -> Transcript:
         cls += outcome_index[s].astype(np.uint8, copy=False)
         cls += 1
         cls *= test
-        u = streams.outcomes.random(s.stop - s.start)
-        idx = outcome_index[s]  # a view: every round is in one class, so all of it is written
-        for cid, cum in tables.items():
-            mask = cls == cid
-            if mask.any():
-                idx[mask] = np.minimum(np.searchsorted(cum, u[mask], side="right"), len(cum) - 1)
+        key = streams.outcomes.bit_generator.random_raw(s.stop - s.start) >> 11
+        key |= np.left_shift(cls, 53, dtype=np.uint64)
+        pos = np.searchsorted(keys, key, side="right")
+        del key  # freed before the next chunk-long array is made
+        pos -= np.multiply(cls, 2**n_par - 1, dtype=np.int64)
+        outcome_index[s] = pos
+        del pos
     return Transcript(
         n_parties=n_par,
         n_rounds=n,
