@@ -595,8 +595,7 @@ def test_outcome_draw_reads_only_the_bit_generator():
     config = _config(n_parties=5, n_rounds=3 * _CHUNK + 17, mu=0.5, qber=0.05, delta=0.78, rng_seed=11)
     want = _measure_rounds(config, _Streams.from_seed(config.rng_seed))
     streams = _Streams.from_seed(config.rng_seed)
-    child = np.random.SeedSequence(config.rng_seed).spawn(5)[2]
-    streams.outcomes = types.SimpleNamespace(bit_generator=np.random.PCG64(child))
+    streams.outcomes = types.SimpleNamespace(bit_generator=streams.outcomes.bit_generator)
     got = _measure_rounds(config, streams)
     assert np.array_equal(got.round_class, want.round_class)
     assert np.array_equal(got.outcome_index, want.outcome_index)
