@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 
 from .errors import DomainError
@@ -140,8 +141,8 @@ class RateParams:
         if not CLASSICAL_BOUND < self.delta < TSIRELSON_BOUND:
             raise DomainError(f"delta must lie strictly in (3/4, Tsirelson), got {self.delta!r}")
         _check_qber(self.qber)
-        if not isinstance(self.n_rounds, numbers.Integral) or self.n_rounds < 0:
-            raise DomainError(f"n_rounds must be a nonnegative integer, got {self.n_rounds!r}")
+        if not isinstance(self.n_rounds, numbers.Integral) or not 0 <= self.n_rounds <= sys.float_info.max:
+            raise DomainError(f"n_rounds must be a nonnegative integer that fits a float, got {self.n_rounds!r}")
         _check_variant(self.variant)
 
 
@@ -315,7 +316,9 @@ def finite_key_length(params: RateParams) -> KeyLengthBreakdown:
     end, maximises the entropy term less the second order (derivation in the
     module docstring).  The smoothing credit is added, the privacy-amplification
     penalty and the error-correction leakages are subtracted, and the length
-    clamps at zero; the signed sum survives in raw_length.
+    clamps at zero; the signed sum survives in raw_length.  A sum that is not
+    finite is a DomainError: the main variant's second order grows as
+    sqrt(n) / mu**2 and is not finite at mu = 1e-154 for any n.
     """
     n = params.n_rounds
     mu = params.mu
@@ -328,7 +331,7 @@ def finite_key_length(params: RateParams) -> KeyLengthBreakdown:
     pa_term = pa_factor * math.log2(1.0 / eps.pa)
     leak_alice, leak_bob = leak_ec_bounds(params)
     leak_bobs = (params.n_parties - 1) * leak_bob
-    return KeyLengthBreakdown(
+    bd = KeyLengthBreakdown(
         entropy_term=entropy_term,
         second_order=second_order,
         smoothing_term=smoothing_term,
@@ -337,6 +340,9 @@ def finite_key_length(params: RateParams) -> KeyLengthBreakdown:
         leak_bobs=leak_bobs,
         p_opt_chosen=p_opt,
     )
+    if not math.isfinite(bd.raw_length):
+        raise DomainError(f"key-length terms leave the float range at mu = {mu!r}, n = {n}, {params.variant} variant")
+    return bd
 
 
 def completeness_bound(params: RateParams, p_exp: float) -> float:

@@ -40,8 +40,8 @@ One line per round::
     <i> <t> <x> <y1> <a> <bob bits> <c>
 
 with ``c`` printed as ``1`` (win), ``0`` (lose) or ``-`` (untested).  The
-round lines are built as uint8 byte matrices of ``_LINE_CHUNK`` rounds each (see
-:meth:`Transcript._round_lines`): ASCII digits, LF line ends, no locale.
+lines of each ``_LINE_CHUNK`` rounds are built in one fixed-width uint8 byte
+matrix (see :meth:`Transcript._round_lines`): ASCII digits, LF line ends, no locale.
 Then hex blocks (bit strings packed little-endian per byte and written
 by ``hashing.write_hex_line``)::
 
@@ -81,8 +81,8 @@ ABORT_PE = "parameter_estimation"
 # multiple of 8, so each chunk of Alice's key packs into whole bytes.
 _CHUNK = 2**14
 
-# Rounds per chunk of round lines: their byte matrices take about 80 bytes
-# per round, so a smaller chunk than _CHUNK keeps them near 0.3 MB.
+# Rounds per chunk of round lines: building them peaks at 60 bytes per round
+# at N = 3, 89 at N = 12, so a smaller chunk than _CHUNK keeps them under 0.4 MB.
 _LINE_CHUNK = 2**12
 
 
@@ -234,48 +234,36 @@ class Transcript:
         return str(sink.getbuffer(), "ascii") if out is None else None
 
     def _round_lines(self) -> Iterator[np.ndarray]:
-        """The round lines, each ending in LF, as flat uint8 byte arrays.
+        """The round lines, each ending in LF, as C-contiguous uint8 byte matrices.
 
-        Each array holds the lines of one chunk of at most ``_LINE_CHUNK``
-        rounds, decoded from the compact round store for that chunk only.
-
-        Every field after the round index is one ASCII character, so the line
-        tail ``" t x y1 a <bobs> c\\n"`` of a chunk is a fixed-width row,
-        written column by column.  The decimal index changes width at each
-        power of ten: within a chunk, the rounds of one width form one block
-        of rows d characters wider than the tail, and the blocks lie back to
-        back in the chunk's buffer.
+        Each chunk of at most ``_LINE_CHUNK`` rounds is decoded from the
+        compact round store and written into one uint8 matrix, a row per
+        round: the index in d digits, d that of the chunk's largest index,
+        with leading zeros, then the tail ``" t x y1 a <bobs> c\\n"``, one
+        ASCII character per field.  The rows of each index width w are
+        yielded as the matrix's last d + N + 11 - w columns; only a chunk
+        that crosses a power of ten copies those of its narrower rows.
         """
-        width = self.n_parties + 11
         for s, tests, scored in _test_chunks(self.round_class, _LINE_CHUNK):
             lo, hi = s.start, s.stop
-            cls = self.round_class[s]
-            bits = outcome_bits(self.outcome_index[s], self.n_parties)
-            tail = np.full((hi - lo, width), ord(" "), dtype=np.uint8)
-            tail[:, 1:6:2] = ROUND_CLASSES[cls]
+            # decoded before the matrix is made, so the decoder's temporaries never meet it
+            bits = outcome_bits(self.outcome_index[s], self.n_parties) + ord("0")
+            d = len(str(hi - 1))
+            lines = np.full((hi - lo, d + self.n_parties + 11), ord(" "), dtype=np.uint8)
+            for k in range(d):
+                lines[:, d - 1 - k] = np.arange(lo, hi) // 10**k % 10 + ord("0")
+            tail = lines[:, d:]
+            tail[:, 1:6:2] = ROUND_CLASSES[self.round_class[s]] + ord("0")
             tail[:, 7] = bits[:, 0]
             tail[:, 9:-3] = bits[:, 1:]
-            tail[:, 1:8:2] += ord("0")
-            tail[:, 9:-3] += ord("0")
-            tail[:, -2] = ord("-")
+            tail[:, -2:] = ord("-"), ord("\n")
             if self.wins is not None:
                 tail[tests - lo, -2] = self.wins[scored] + ord("0")
-            tail[:, -1] = ord("\n")
-
-            # the index widths present in [lo, hi) and the powers of ten between them
-            digits = range(len(str(lo)), len(str(hi - 1)) + 1)
-            bounds = [lo] + [10 ** (d - 1) for d in digits[1:]] + [hi]
-            blocks = list(zip(digits, bounds, bounds[1:]))
-            buf = np.empty(sum((b - a) * (d + width) for d, a, b in blocks), dtype=np.uint8)
-            offset = 0
-            for d, a, b in blocks:
-                block = buf[offset:offset + (b - a) * (d + width)].reshape(b - a, d + width)
-                index = np.arange(a, b)
-                for k in range(d):
-                    block[:, d - 1 - k] = index // 10**k % 10 + ord("0")
-                block[:, d:] = tail[a - lo:b - lo]
-                offset += block.size
-            yield buf
+            a = 0
+            for w in range(len(str(lo)), d + 1):
+                b = min(hi, 10**w) - lo
+                yield np.ascontiguousarray(lines[a:b, d - w:])
+                a = b
 
 
 @dataclass

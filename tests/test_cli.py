@@ -245,6 +245,26 @@ def test_keylen_rejects_epsilon_below_floor(tmp_path, capsys):
     assert keylen("1e-150", others="1e-150") == 0
 
 
+def test_key_length_terms_outside_the_float_range_are_config_errors(tmp_path, capsys):
+    # mu = 1e-155 sends the main variant's second order to inf, and 10**309 rounds
+    # do not fit a float; both used to end in an OverflowError traceback
+    big_n = KEYLEN_CONFIG.replace("n_rounds = 10000000000", f"n_rounds = {10**309}")
+    for text, message in (
+        (KEYLEN_CONFIG.replace("mu = 0.1", "mu = 1e-155"), "error: key-length terms leave the float range"),
+        (big_n, "error: n_rounds must be a nonnegative integer that fits a float"),
+    ):
+        assert main(["keylen", "--config", _write(tmp_path, "kl.cfg", text)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+    # with no key_len the computed length fails after sampling, before the transcript is opened
+    text = SIM_CONFIG.replace("mu = 0.05", "mu = 1e-300").replace("key_len = 64\n", "")
+    out = tmp_path / "t.txt"
+    assert main(["simulate", "--config", _write(tmp_path, "sim.cfg", text), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: key-length terms leave the float range at mu = 1e-300") and err.count("\n") == 1
+    assert not out.exists()
+
+
 RATES_CONFIG = """
 n_list = 3,4,5,6,7
 q_min = 0

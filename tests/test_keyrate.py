@@ -6,6 +6,8 @@ call so a regression in either side is caught.
 """
 
 import math
+import re
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -297,6 +299,16 @@ def test_finite_key_breakdown_identity():
     assert CLASSICAL_BOUND < bd.p_opt_chosen / 0.1 < TSIRELSON_BOUND
 
 
+def test_key_length_terms_outside_the_float_range_are_a_domain_error():
+    # the main variant's second order grows as sqrt(n) / mu**2: inf at mu = 1e-154,
+    # and NaN at n = 0 (inf * 0); the mu limit depends on n, so the sum is checked
+    for mu, n_rounds in ((1e-155, 0), (1e-155, 1), (1e-155, 10**10), (1e-300, 10**6), (1e-150, 10**300)):
+        with pytest.raises(DomainError, match=re.escape(f"mu = {mu!r}, n = {n_rounds}, main variant")):
+            finite_key_length(_params(mu=mu, n_rounds=n_rounds))
+    assert finite_key_length(_params(mu=1e-150, n_rounds=1)).key_length == 0
+    assert finite_key_length(_params(mu=1e-300, n_rounds=10**6, variant="appendix")).key_length == 0
+
+
 def test_finite_key_optimum_reaches_the_classical_end():
     # here the objective rises toward delta_opt = 3/4, so the tangent point
     # clamps to that open end
@@ -514,9 +526,11 @@ def test_budget_validation():
 
 
 def test_n_rounds_must_be_an_integer():
-    for bad in (10.5, 1e6, -1, "1000"):
+    # an integer beyond the largest float would crash math.sqrt(n) and n * (...)
+    for bad in (10.5, 1e6, -1, "1000", int(sys.float_info.max) + 1, 10**309):
         with pytest.raises(DomainError):
             _params(n_rounds=bad)
+    assert _params(n_rounds=int(sys.float_info.max)).n_rounds == int(sys.float_info.max)
     with pytest.raises(DomainError):
         ProtocolConfig(n_parties=3, n_rounds=10.5, mu=0.1, delta=0.78, qber=0.0, eps=_budget(), rng_seed=1)
     assert _params(n_rounds=np.int64(1000)).n_rounds == 1000

@@ -530,11 +530,18 @@ def _serialization_case(kind, n_parties, n_rounds):
     return reconcile(config, tr, streams.ec, bob_keys=bob_keys)
 
 
+# every decimal-width boundary of the round index up to five digits
+_LINE_SIZES = (0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 10001)
+
+
 @pytest.mark.parametrize("kind", ["success", "pe_abort", "ec_abort", "measure_only"])
 @pytest.mark.parametrize("n_parties", [*range(3, 10), 12])
 def test_round_lines_match_oracle(kind, n_parties):
-    # every decimal-width boundary of the round index up to five digits
-    for n_rounds in (0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 10001):
+    _check_round_lines(kind, n_parties, _LINE_SIZES)
+
+
+def _check_round_lines(kind, n_parties, sizes):
+    for n_rounds in sizes:
         tr = _serialization_case(kind, n_parties, n_rounds)
         expected = _oracle_serialize_rounds(tr)
         text = tr.serialize()
@@ -546,6 +553,16 @@ def test_round_lines_match_oracle(kind, n_parties):
             assert set(tr.c.tolist()) == {-1, 0, 1}
         elif kind != "success" and n_rounds >= 1000:
             assert tr.abort == {"pe_abort": ABORT_PE, "ec_abort": ABORT_EC}[kind]
+
+
+@pytest.mark.parametrize("n_parties", [3, 12])
+@pytest.mark.parametrize("line_chunk", [1, 3, 10, 101])
+def test_round_lines_match_oracle_at_every_chunk_alignment(monkeypatch, line_chunk, n_parties):
+    # chunk edges on, just before and just after each power of ten up to
+    # 10^3, one-row chunks, and at 101 the chunk [0, 101) of three widths
+    monkeypatch.setattr("dicka.protocol._LINE_CHUNK", line_chunk)
+    for kind in ("success", "measure_only"):
+        _check_round_lines(kind, n_parties, _LINE_SIZES[:-1])
 
 
 def _oracle_measure_rounds(config, streams):
@@ -734,19 +751,23 @@ def test_run_keeps_about_two_and_a_half_bytes_per_round():
 def test_serializing_to_a_file_holds_half_a_megabyte():
     # the round lines are built 2^12 rounds at a time and the hex lines are
     # written a slice at a time; whole EC and PA seed hex strings took 1.5
-    # bytes per round, and 2^14-round line chunks 1.3 MB
-    config = _config(n_rounds=2 * 10**5, mu=0.05, qber=0.02, delta=0.78, key_len=128, rng_seed=3)
-    tr = run_protocol(config)
-    with open(os.devnull, "wb") as sink:
-        run_protocol(dataclasses.replace(config, n_rounds=1000)).serialize(sink)  # lazy set-up
-        tracemalloc.start()
-        try:
-            tr.serialize(sink)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert tr.abort is None and tr.pa_seed is not None
-    assert peak <= 0.5 * 2**20
+    # bytes per round, and 2^14-round line chunks 1.3 MB; from N = 9 on the
+    # outcome index takes two bytes, and the line matrix N + 16 bytes a row
+    for n_parties, n_rounds in ((3, 2 * 10**5), (9, 2 * 10**4), (12, 2 * 10**4)):
+        config = _config(
+            n_parties=n_parties, n_rounds=n_rounds, mu=0.05, qber=0.02, delta=0.78, key_len=128, rng_seed=3,
+        )
+        tr = run_protocol(config)
+        with open(os.devnull, "wb") as sink:
+            run_protocol(dataclasses.replace(config, n_rounds=1000)).serialize(sink)  # lazy set-up
+            tracemalloc.start()
+            try:
+                tr.serialize(sink)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert tr.abort is None and tr.pa_seed is not None
+        assert peak <= 0.5 * 2**20, n_parties
 
 
 def test_sampling_holds_under_half_a_megabyte_above_what_it_keeps():
